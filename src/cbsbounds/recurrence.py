@@ -7,18 +7,36 @@ positive constraints:
     T(r, s) = 3                                 if r = 1 and s > 0
     T(r, s) = T(r-1, s) + T(r-2, s-1) + 1       otherwise
 
-All steps are evaluated tight (with equality). Two backends are provided: an
-arbitrary-precision table for exact values, and a log2-space backend whose
-additions are log-sum-exp, for budgets where the exact value has millions of
-digits. The induction closed form 3 * r**s dominates the recurrence.
+All steps are evaluated tight (with equality). Both backends evaluate a
+closed form read off the generating function G/H, H = 1 - x - x^2 y. The
+base cases and the +1 give the numerator
+
+    G = 1 + sum_{c>=1} y^c (1 + 2x + x^2 + x^3 + ...),
+
+and expanding
+
+    1/H = sum_j (x + x^2 y)^j = sum_{r,b} C(r-b, b) x^r y^b
+
+makes the coefficient of x^r y^s in G/H the sum of C(r-s, s) and, for each
+b < s, C(r-b, b) + 2 C(r-1-b, b) + sum_{a>=2} C(r-a-b, b). The hockey-stick
+identity folds sum_{a>=1} C(r-a-b, b) into C(r-b, b+1), which leaves, for
+r, s >= 1,
+
+    T(r, s) = sum_{b<=s} C(r-b, b) + sum_{b<s} [C(r-1-b, b) + C(r-b, b+1)].
+
+Terms with j > n vanish, so each sum stops at b ~ r/2 and an evaluation costs
+O(min(s, r/2)) binomials whatever r is. The exact backend sums arbitrary-
+precision integers; the log2-space backend combines the logarithms of the
+terms with one log-sum-exp, for budgets where the exact value has millions of
+digits. :func:`eval_exact_table` keeps the O(r s) dynamic program, an
+independent algorithm for the whole table. The induction closed form
+3 * r**s dominates the recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator
-
-import numpy as np
 
 from .logspace import LN2, LOG2_3, Log2Value
 
@@ -51,28 +69,37 @@ def _exact_rows(r_max: int, s_max: int) -> Iterator[list[int]]:
         prev2, prev1 = prev1, cur
 
 
-def eval_exact(r: int, s: int, *, max_cells: int = DEFAULT_EXACT_CELL_LIMIT) -> int:
-    """Exact T(r, s) by dynamic programming.
+def _families(r: int, s: int) -> tuple[tuple[int, int, int], ...]:
+    """The closed form's three sums as (n, j, count): the nonzero terms
+    C(n-b, j+b) for b = 0..count-1. The sums also give the base cases
+    T(r, 0) = T(0, s) = 1 and T(1, s) = 3."""
+    tail = min(s - 1, (r - 1) // 2) + 1
+    return ((r, 0, min(s, r // 2) + 1), (r - 1, 0, tail), (r, 1, tail))
 
-    Refuses tables larger than ``max_cells`` (r * s cells); use
+
+def eval_exact(r: int, s: int, *, max_cells: int = DEFAULT_EXACT_CELL_LIMIT) -> int:
+    """Exact T(r, s) from the closed form, a sum of O(min(s, r/2)) binomials.
+
+    ``max_cells`` caps r * s, a limit on the size of the exact output (T is
+    at most about (e r / s)**s) rather than on any table; use
     :func:`eval_log` for budgets past the ceiling.
     """
     _check_args(r, s)
     if r * s > max_cells:
         raise ValueError(
-            f"exact table of {r * s} cells exceeds the {max_cells}-cell ceiling; "
+            f"exact value at r * s = {r * s} exceeds the {max_cells} ceiling; "
             "use eval_log"
         )
-    last: list[int] = []
-    for row in _exact_rows(r, s):
-        last = row
-    return last[s]
+    return sum(
+        math.comb(n - b, j + b) for n, j, count in _families(r, s) for b in range(count)
+    )
 
 
 def eval_exact_table(
     r_max: int, s_max: int, *, max_cells: int = DEFAULT_EXACT_CELL_LIMIT
 ) -> list[list[int]]:
-    """The full table T[0..r_max][0..s_max]; same ceiling as eval_exact."""
+    """The full table T[0..r_max][0..s_max] by dynamic programming; refuses
+    tables of more than ``max_cells`` cells."""
     _check_args(r_max, s_max)
     if (r_max + 1) * (s_max + 1) > max_cells:
         raise ValueError(
@@ -82,33 +109,29 @@ def eval_exact_table(
     return list(_exact_rows(r_max, s_max))
 
 
-def _log2_add_arrays(a: np.ndarray, b) -> np.ndarray:
-    m = np.maximum(a, b)
-    return m + np.log1p(np.exp2(-np.abs(a - b))) / LN2
-
-
 def eval_log(r: int, s: int) -> Log2Value:
-    """log2 of T(r, s) via log-sum-exp accumulation.
+    """log2 of T(r, s) from the closed form, in O(min(s, r/2)) time.
 
-    Rows run over the positive budget, so memory is O(s); each step is a
-    vectorized three-way log-sum-exp.
+    Each sum starts from an exact ln C(n, 0) = 0 or ln C(n, 1) = ln n and
+    steps by the ratio C(n-1, j+1) / C(n, j) = (n-j)(n-j-1) / ((j+1) n), a
+    correctly rounded integer quotient, so no step cancels; ln C by lgamma
+    differences loses digits once n is large. One log-sum-exp adds the terms.
     """
     _check_args(r, s)
     if r == 0 or s == 0:
         return Log2Value(0.0)
     if r == 1:
         return Log2Value(LOG2_3)
-    prev2 = np.zeros(s + 1)  # log2 T(0, .)
-    prev1 = np.full(s + 1, LOG2_3)
-    prev1[0] = 0.0  # log2 T(1, .)
-    for _ in range(2, r + 1):
-        cur = np.empty(s + 1)
-        cur[0] = 0.0
-        cur[1:] = _log2_add_arrays(
-            _log2_add_arrays(prev1[1:], prev2[:-1]), 0.0
-        )
-        prev2, prev1 = prev1, cur
-    return Log2Value(float(prev1[s]))
+    terms: list[float] = []
+    for n, j, count in _families(r, s):
+        v = math.log(math.comb(n, j))
+        terms.append(v)
+        for _ in range(count - 1):
+            v += math.log((n - j) * (n - j - 1) / ((j + 1) * n))
+            n, j = n - 1, j + 1
+            terms.append(v)
+    top = max(terms)
+    return Log2Value((top + math.log(math.fsum(math.exp(v - top) for v in terms))) / LN2)
 
 
 def induction_bound(r: int, s: int) -> Log2Value:

@@ -147,6 +147,12 @@ class TestSizeBounds:
             exact = mdd_size(build_mdd(grid, center, center, cost))[0]
             assert exact <= analytic_size_bound(cost).value + (cost // 2 + 1)
 
+    def test_analytic_covers_start_equals_goal(self):
+        grid = open_grid(25)
+        for cost in range(1, 13):
+            exact = mdd_size(build_mdd(grid, (12, 12), (12, 12), cost))[0]
+            assert exact <= analytic_size_bound(cost).value, cost
+
     def test_radius_bound_values(self):
         assert radius_size_bound(0, 0, 1).value == 0
         assert radius_size_bound(7, 0, 1).value == 672

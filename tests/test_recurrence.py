@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -61,6 +62,20 @@ class TestExactBackend:
         with pytest.raises(ValueError):
             eval_exact(-1, 2)
 
+    def test_matches_table_on_every_cell(self):
+        table = eval_exact_table(200, 60)
+        for r in range(201):
+            for s in range(61):
+                assert eval_exact(r, s) == table[r][s], (r, s)
+
+    def test_saturates_once_positive_budget_reaches_r(self):
+        # each positive constraint spends two negative ones, so T(r, s) stops
+        # growing once s reaches about r / 2
+        table = eval_exact_table(12, 40)
+        for r in range(13):
+            for s in range(r, 41):
+                assert eval_exact(r, s) == table[r][2 * r], (r, s)
+
 
 class TestLogBackend:
     def test_base_cases(self):
@@ -73,6 +88,24 @@ class TestLogBackend:
             exact = log2_of_int(eval_exact(r, s))
             approx = eval_log(r, s).log2
             assert abs(approx - exact) <= 1e-6 * max(1.0, exact)
+
+    def test_matches_table_on_every_cell(self):
+        table = eval_exact_table(200, 60)
+        for r in range(201):
+            for s in range(61):
+                exact = log2_of_int(table[r][s])
+                assert eval_log(r, s).log2 == pytest.approx(exact, rel=1e-9), (r, s)
+
+    def test_single_positive_budget_at_huge_r(self):
+        for r in (10**7, 10**9, 10**12, 10**15):
+            assert eval_log(r, 1).log2 == pytest.approx(math.log2(2 * r + 1), rel=1e-12)
+
+    def test_huge_positive_budget_is_cheap(self):
+        saturated = log2_of_int(eval_exact_table(10, 20)[10][20])
+        start = time.perf_counter()
+        value = eval_log(10, 10**9)
+        assert time.perf_counter() - start < 1.0
+        assert value.log2 == pytest.approx(saturated, rel=1e-9)
 
     def test_large_budgets_finite(self):
         value = eval_log(5000, 50)
