@@ -12,9 +12,8 @@ import numpy as np
 from cbsbounds import (
     GridMap,
     Instance,
-    build_mdd,
     empirical_bound_check,
-    mdd_size,
+    mdd_counts,
     solve,
     validate,
 )
@@ -41,7 +40,7 @@ def run(name: str, instance: Instance) -> None:
         paths, stats = solve(instance, splitting)
         assert validate(instance, paths) is None
         sizes = [
-            mdd_size(build_mdd(instance.map, s, g, stats.optimal_cost))
+            mdd_counts(instance.map, s, g, stats.optimal_cost)
             for s, g in instance.agents
         ]
         check = empirical_bound_check(instance, stats, sizes)

@@ -59,6 +59,7 @@ from .mdd import (
     build_mdd,
     constraint_space_size,
     layer_bound,
+    mdd_counts,
     mdd_size,
     radius_size_bound,
     with_edges_bound,

@@ -333,7 +333,9 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
         )
 
     root_paths = tuple(plan(i, frozenset()) for i in range(k))
-    assert all(p is not None for p in root_paths)
+    for i, p in enumerate(root_paths):
+        if p is None:
+            raise UnsolvableError(f"agent {i} has no path within horizon {horizon}")
     root = make_node(frozenset(), root_paths, 0)
 
     seq = 0

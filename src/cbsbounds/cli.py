@@ -30,6 +30,10 @@ from .model import Cell, ParseError, parse_map, parse_scen
 SCHEMA_VERSION = 1
 
 
+class InvalidSolutionError(RuntimeError):
+    """The solver returned paths that fail validation."""
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
@@ -208,11 +212,12 @@ def cmd_solve(args) -> int:
         instance = parse_scen(fh.read(), args.agents, grid)
     paths, stats = solve(instance, "disjoint" if args.disjoint else "classic")
     violation = validate(instance, paths)
-    assert violation is None, f"solver produced an invalid solution: {violation}"
-    sizes = []
-    for start, goal in instance.agents:
-        diagram = mdd.build_mdd(grid, start, goal, stats.optimal_cost)
-        sizes.append(mdd.mdd_size(diagram))
+    if violation is not None:
+        raise InvalidSolutionError(f"solver produced an invalid solution: {violation}")
+    sizes = [
+        mdd.mdd_counts(grid, start, goal, stats.optimal_cost)
+        for start, goal in instance.agents
+    ]
     report = empirical_bound_check(instance, stats, sizes)
 
     if args.json:
@@ -317,7 +322,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnsolvableError, BoundViolationError, ValueError, OSError) as exc:
+    except (
+        ParseError,
+        UnsolvableError,
+        BoundViolationError,
+        InvalidSolutionError,
+        ValueError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,11 @@
 An MDD for (start, goal, C) is a layered graph whose layer t holds exactly the
 cells reachable from the start within t steps and from the goal within C - t
 steps; every start-to-goal path of cost exactly C (waits included) threads
-through it. Exact sizes feed the empirical conflict-tree checks; the closed
-forms bound them on open 4-connected grids.
+through it. Both endpoints' distance fields give each cell its interval of
+layers, from which :func:`mdd_counts` sums the exact sizes that feed the
+empirical conflict-tree checks; :func:`build_mdd` materializes the layers
+where they are shown. The closed forms bound the sizes on open 4-connected
+grids.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .model import Cell, GridMap, distance_field
 
@@ -38,8 +43,16 @@ class MddSizeBound:
             raise ValueError("bound value must be nonnegative")
 
 
-def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
-    """Construct the exact MDD; wait moves appear as self-edges."""
+def _layer_intervals(
+    grid: GridMap, start: Cell, goal: Cell, cost: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's MDD layers, as int64 arrays (lo, hi) of shape (h, w).
+
+    Cell v is in layer t exactly when d_s(v) <= t <= C - d_g(v), so
+    lo = d_s and hi = C - d_g; cells the start cannot reach get the empty
+    interval [C + 1, -1]. Raises ValueError on a blocked start or goal, an
+    unreachable goal, or a cost below the shortest distance.
+    """
     for which, cell in (("start", start), ("goal", goal)):
         if not grid.is_passable(cell):
             raise ValueError(f"{which} {cell} is blocked or out of bounds")
@@ -50,25 +63,60 @@ def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
         raise ValueError(f"unreachable goal {goal} from {start}")
     if cost < shortest:
         raise ValueError(f"infeasible cost {cost} < shortest distance {shortest}")
+    # start and goal share a component, so d_start and d_goal are -1 together
+    reach = d_start >= 0
+    lo = np.where(reach, d_start, cost + 1).astype(np.int64)
+    hi = np.where(reach, cost - d_goal.astype(np.int64), -1)
+    return lo, hi
 
-    layers = []
-    for t in range(cost + 1):
-        layer = frozenset(
-            (x, y)
-            for x, y in grid.cells()
-            if 0 <= d_start[y, x] <= t and 0 <= d_goal[y, x] <= cost - t
-        )
-        layers.append(layer)
 
+def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
+    """Construct the exact MDD; wait moves appear as self-edges."""
+    lo, hi = _layer_intervals(grid, start, goal, cost)
+    ys, xs = np.nonzero(lo <= hi)
+    members: list[list[Cell]] = [[] for _ in range(cost + 1)]
+    for x, y, a, b in zip(
+        xs.tolist(), ys.tolist(), lo[ys, xs].tolist(), hi[ys, xs].tolist()
+    ):
+        for t in range(a, b + 1):
+            members[t].append((x, y))
+    layers = tuple(frozenset(cells) for cells in members)
+
+    around: dict[Cell, tuple[Cell, ...]] = {}
     edges = []
     for t in range(cost):
         nxt = layers[t + 1]
         adj: dict[Cell, tuple[Cell, ...]] = {}
         for u in layers[t]:
-            succ = tuple(v for v in (u, *grid.neighbors(u)) if v in nxt)
-            adj[u] = succ
+            if u not in around:
+                around[u] = (u, *grid.neighbors(u))
+            adj[u] = tuple(v for v in around[u] if v in nxt)
         edges.append(adj)
-    return Mdd(cost, tuple(layers), tuple(edges))
+    return Mdd(cost, layers, tuple(edges))
+
+
+def mdd_counts(grid: GridMap, start: Cell, goal: Cell, cost: int) -> tuple[int, int]:
+    """Exact (node count, edge count) of the MDD, without building it.
+
+    Equal to ``mdd_size(build_mdd(grid, start, goal, cost))`` and raises the
+    same errors. With each cell's layer interval [lo, hi]: a cell is a node
+    in hi - lo + 1 layers and waits in hi - lo of them; a move u -> v leaves
+    u at every t in [max(lo_u, lo_v - 1), min(hi_u, hi_v - 1)].
+    """
+    lo, hi = _layer_intervals(grid, start, goal, cost)
+    nodes = int(np.maximum(hi - lo + 1, 0).sum())
+    edges = int(np.maximum(hi - lo, 0).sum())
+    # each adjacent pair, left-right then up-down, in both directions
+    for a, b in (
+        (np.s_[:, :-1], np.s_[:, 1:]),
+        (np.s_[:, 1:], np.s_[:, :-1]),
+        (np.s_[:-1, :], np.s_[1:, :]),
+        (np.s_[1:, :], np.s_[:-1, :]),
+    ):
+        first = np.maximum(lo[a], lo[b] - 1)
+        last = np.minimum(hi[a], hi[b] - 1)
+        edges += int(np.maximum(last - first + 1, 0).sum())
+    return nodes, edges
 
 
 def mdd_size(mdd: Mdd) -> tuple[int, int]:
@@ -90,14 +138,17 @@ def analytic_size_bound(cost: int) -> MddSizeBound:
     """Cubic total-size bound on open grids, (C^3 + 6C^2 + 8C) / 6 for even C;
     odd C adds one middle-layer term on top of the even formula at C - 1.
 
-    The per-layer bound excludes the source cell, so at C = 0 the formula is
-    0 while the exact MDD is the single start = goal cell. For C >= 1 the
-    slack in the middle layers covers the endpoints: no start = goal MDD on a
-    41 x 41 open grid exceeds the bound at 1 <= C <= 15.
+    The per-layer bound excludes the source cell, so at C = 0 the formula
+    gives 0; the value there is 1, since an MDD of cost 0 has start = goal
+    and its one layer holds that cell. For C >= 1 the slack in the middle
+    layers covers the endpoints: no start = goal MDD on a 41 x 41 open grid
+    exceeds the bound at 1 <= C <= 15.
     """
     if cost < 0:
         raise ValueError("cost must be nonnegative")
-    if cost % 2 == 0:
+    if cost == 0:
+        value = 1
+    elif cost % 2 == 0:
         value = (cost**3 + 6 * cost**2 + 8 * cost) // 6
     else:
         even = cost - 1

@@ -8,7 +8,6 @@ files. Everything here is immutable once constructed and safe to share.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -248,26 +247,37 @@ def is_valid_path(grid: GridMap, path: Path) -> bool:
 
 
 def distance_field(grid: GridMap, source: Cell) -> np.ndarray:
-    """BFS distances from ``source`` to every cell; -1 marks unreachable."""
+    """BFS distances from ``source`` to every cell; -1 marks unreachable.
+
+    The search runs over a flat Python list of the mask with one blocked
+    column after each row and one blocked row at the end: cell (x, y) sits
+    at u = y * w + x with w = width + 1, its neighbours at u +- 1 and u +- w.
+    Stepping off the left or right edge lands in a padding column, off the
+    bottom in the padding row, and off the top on a negative index, which
+    Python reads from that same padding row, so no step needs a bounds test.
+    Unseen passable cells hold -1, blocked ones -2.
+    """
     if not grid.is_passable(source):
         raise ValueError(f"source {source} is blocked or out of bounds")
-    dist = np.full((grid.height, grid.width), -1, dtype=np.int32)
-    dist[source[1], source[0]] = 0
-    queue = deque([source])
-    while queue:
-        x, y = queue.popleft()
-        d = dist[y, x] + 1
-        for dx, dy in MOVES:
-            nx, ny = x + dx, y + dy
-            if (
-                0 <= nx < grid.width
-                and 0 <= ny < grid.height
-                and grid.passable[ny, nx]
-                and dist[ny, nx] < 0
-            ):
-                dist[ny, nx] = d
-                queue.append((nx, ny))
-    return dist
+    w = grid.width + 1
+    padded = np.full((grid.height + 1, w), -2, dtype=np.int32)
+    padded[:-1, :-1][grid.passable] = -1
+    dist = padded.ravel().tolist()
+    src = source[1] * w + source[0]
+    dist[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in (u - 1, u + 1, u - w, u + w):
+                if dist[v] == -1:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    field = np.array(dist, dtype=np.int32).reshape(grid.height + 1, w)[:-1, :-1]
+    return np.maximum(field, -1)
 
 
 def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:

@@ -80,15 +80,17 @@ def _families(r: int, s: int) -> tuple[tuple[int, int, int], ...]:
 def eval_exact(r: int, s: int, *, max_cells: int = DEFAULT_EXACT_CELL_LIMIT) -> int:
     """Exact T(r, s) from the closed form, a sum of O(min(s, r/2)) binomials.
 
-    ``max_cells`` caps r * s, a limit on the size of the exact output (T is
-    at most about (e r / s)**s) rather than on any table; use
-    :func:`eval_log` for budgets past the ceiling.
+    ``max_cells`` caps r * min(s, r // 2 + 1), a limit on the size of the
+    exact output rather than on any table: the binomials vanish past
+    b = r / 2, so T(r, s) = T(r, r // 2 + 1) for larger s, and T is at most
+    about (e r / s)**s. Use :func:`eval_log` for budgets past the ceiling.
     """
     _check_args(r, s)
-    if r * s > max_cells:
+    size = r * min(s, r // 2 + 1)
+    if size > max_cells:
         raise ValueError(
-            f"exact value at r * s = {r * s} exceeds the {max_cells} ceiling; "
-            "use eval_log"
+            f"exact value at r * min(s, r // 2 + 1) = {size} exceeds the "
+            f"{max_cells} ceiling; use eval_log"
         )
     return sum(
         math.comb(n - b, j + b) for n, j, count in _families(r, s) for b in range(count)

@@ -19,6 +19,19 @@ def grid_from_rows(rows: list[str]) -> GridMap:
     return GridMap(width, height, mask)
 
 
+def random_grid(rng, width: int, height: int) -> GridMap:
+    """A seeded random map with 0-60% of its cells blocked; at least one
+    cell stays passable, and the denser draws are often disconnected."""
+    blocked = rng.choice((0.0, 0.2, 0.4, 0.6))
+    while True:
+        mask = np.array(
+            [[rng.random() >= blocked for _ in range(width)] for _ in range(height)],
+            dtype=bool,
+        )
+        if mask.any():
+            return GridMap(width, height, mask)
+
+
 @pytest.fixture
 def open5() -> GridMap:
     return open_grid(5)

@@ -174,6 +174,13 @@ class TestSolve:
         with pytest.raises(UnsolvableError, match="horizon"):
             solve(instance)
 
+    def test_root_without_path_is_unsolvable(self, pocket_corridor, monkeypatch):
+        import cbsbounds.cbs as cbs
+
+        monkeypatch.setattr(cbs, "low_level_search", lambda *args: None)
+        with pytest.raises(UnsolvableError, match="agent 0 has no path"):
+            solve(pocket_corridor)
+
     def test_unreachable_goal(self):
         grid = grid_from_rows([".@."])
         instance = Instance(grid, (((0, 0), (0, 0)), ((2, 0), (2, 0))))

@@ -70,6 +70,11 @@ class TestRecurrenceCommand:
         assert code == 1
         assert "eval_log" in err
 
+    def test_positive_budget_past_half_r_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "recurrence", "--r", "10", "--s", "1000000000")
+        assert code == 0
+        assert out == "287\n"
+
 
 class TestBoundsCommand:
     def test_flagship_text_report(self, capsys):
@@ -211,6 +216,26 @@ class TestSolveCommand:
         assert payload["cost"] >= 4
         assert len(payload["paths"]) == 2
         assert all(m >= 0 for m in payload["bound_margins_log2"].values())
+
+    def test_invalid_solution_is_domain_error(self, capsys, pocket_files, monkeypatch):
+        import cbsbounds.cli as cli
+
+        real_solve = cli.solve
+
+        def colliding_solve(instance, splitting):
+            _, stats = real_solve(instance, splitting)
+            # both agents end on (2, 0): they collide and miss their goals
+            crash = (((0, 0), (1, 0), (2, 0)), ((4, 0), (3, 0), (2, 0)))
+            return crash, stats
+
+        monkeypatch.setattr(cli, "solve", colliding_solve)
+        map_path, scen_path = pocket_files
+        code, out, err = run_cli(
+            capsys, "solve", "--map", map_path, "--scen", scen_path, "--agents", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: solver produced an invalid solution")
 
     def test_byte_identical_reruns(self, capsys, pocket_files):
         map_path, scen_path = pocket_files

@@ -10,12 +10,13 @@ from cbsbounds import (
     constraint_space_size,
     is_valid_path,
     layer_bound,
+    mdd_counts,
     mdd_size,
     radius_size_bound,
     with_edges_bound,
 )
-from conftest import grid_from_rows, open_grid
-from oracles import mdd_layer_oracle
+from conftest import grid_from_rows, open_grid, random_grid
+from oracles import dijkstra_field, mdd_layer_oracle
 
 
 class TestBuildMdd:
@@ -113,6 +114,70 @@ class TestBuildMdd:
             build_mdd(grid, (0, 0), (2, 0), 5)
 
 
+def random_pairs(seed, count):
+    """Seeded (grid, start, goal, d) draws with the goal reachable at
+    distance d, on maps from 1 x 1 to 10 x 10 with 0-60% of cells blocked."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        grid = random_grid(rng, rng.randint(1, 10), rng.randint(1, 10))
+        cells = list(grid.cells())
+        start, goal = rng.choice(cells), rng.choice(cells)
+        d = dijkstra_field(grid, start).get(goal)
+        if d is not None:
+            out.append((grid, start, goal, d))
+    return out
+
+
+class TestMddCounts:
+    def test_equals_built_size_on_random_maps(self):
+        for grid, start, goal, d in random_pairs(41, 60):
+            for cost in (d, d + 1, d + 2, d + 5):
+                built = mdd_size(build_mdd(grid, start, goal, cost))
+                assert mdd_counts(grid, start, goal, cost) == built
+
+    def test_layers_match_oracle_up_to_six_above_shortest(self):
+        for grid, start, goal, d in random_pairs(43, 25):
+            for cost in range(d, d + 7):
+                diagram = build_mdd(grid, start, goal, cost)
+                oracle = mdd_layer_oracle(grid, start, goal, cost)
+                assert [set(layer) for layer in diagram.layers] == oracle
+
+    def test_open_grid_values(self, open5):
+        assert mdd_counts(open5, (2, 2), (2, 2), 0) == (1, 0)
+        # layers {c}, ball of radius 1, {c}: 7 nodes; 5 edges out of the
+        # center and one back from each of the 5 ball cells
+        assert mdd_counts(open5, (2, 2), (2, 2), 2) == (7, 10)
+
+    def test_cells_cut_off_from_the_start_are_not_counted(self):
+        grid = grid_from_rows(["...@.", "...@."])
+        assert mdd_counts(grid, (0, 0), (2, 1), 9) == mdd_size(
+            build_mdd(grid, (0, 0), (2, 1), 9)
+        )
+        # (4, 0) in layers 0..3 and waits 3 times, (4, 1) in layers 1..2 and
+        # waits once, and each moves to the other twice
+        assert mdd_counts(grid, (4, 0), (4, 0), 3) == (6, 8)
+
+    @pytest.mark.parametrize(
+        "rows, start, goal, cost, match",
+        [
+            ([".@."], (1, 0), (0, 0), 3, "start"),
+            ([".@."], (0, 0), (1, 0), 3, "goal"),
+            ([".@."], (0, 0), (5, 0), 3, "goal"),
+            ([".@."], (0, 0), (2, 0), 5, "unreachable"),
+            (["....."], (0, 0), (4, 0), 3, "infeasible cost"),
+        ],
+    )
+    def test_same_errors_as_build(self, rows, start, goal, cost, match):
+        grid = grid_from_rows(rows)
+        messages = []
+        for fn in (build_mdd, mdd_counts):
+            with pytest.raises(ValueError, match=match) as caught:
+                fn(grid, start, goal, cost)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+
 class TestSizeBounds:
     def test_layer_bound_values(self):
         assert layer_bound(0) == 0
@@ -124,16 +189,20 @@ class TestSizeBounds:
     def test_analytic_even_values(self):
         assert analytic_size_bound(2).value == 8
         assert analytic_size_bound(4).value == 32
-        assert analytic_size_bound(0).value == 0
+        # the single start = goal cell; the cubic formula alone gives 0
+        assert analytic_size_bound(0).value == 1
 
     def test_analytic_matches_layer_sum(self):
-        # the closed form is exactly twice the summed per-layer bounds
+        # the closed form is exactly twice the summed per-layer bounds; at
+        # C = 0 that sum is empty and the bound is the start cell alone
         for cost in range(0, 21, 2):
             total = 2 * sum(layer_bound(t) for t in range(1, cost // 2 + 1))
-            assert analytic_size_bound(cost).value == total
+            assert analytic_size_bound(cost).value == max(total, 1)
 
     def test_analytic_odd_adds_middle_layer(self):
-        for cost in (1, 3, 5, 9):
+        # C = 1 adds the middle layer to the even formula at 0, which is 0
+        assert analytic_size_bound(1).value == layer_bound(1)
+        for cost in (3, 5, 9):
             mid = (cost + 1) // 2
             expected = analytic_size_bound(cost - 1).value + layer_bound(mid)
             assert analytic_size_bound(cost).value == expected
@@ -149,7 +218,7 @@ class TestSizeBounds:
 
     def test_analytic_covers_start_equals_goal(self):
         grid = open_grid(25)
-        for cost in range(1, 13):
+        for cost in range(0, 13):
             exact = mdd_size(build_mdd(grid, (12, 12), (12, 12), cost))[0]
             assert exact <= analytic_size_bound(cost).value, cost
 

@@ -19,8 +19,8 @@ from cbsbounds import (
     read_scen_entries,
     serialize_map,
 )
-from conftest import grid_from_rows, open_grid
-from oracles import brute_force_radius, dijkstra_distance
+from conftest import grid_from_rows, open_grid, random_grid
+from oracles import brute_force_radius, dijkstra_distance, dijkstra_field
 
 
 def map_text(rows: list[str]) -> str:
@@ -146,7 +146,45 @@ class TestParseScen:
         assert entries[0].optimal_length == bfs_distance(grid, start, goal)
 
 
+def assert_field_matches_dijkstra(grid, source):
+    field = distance_field(grid, source)
+    assert field.dtype == np.int32
+    assert field.shape == (grid.height, grid.width)
+    expected = np.full((grid.height, grid.width), -1, dtype=np.int32)
+    for (x, y), d in dijkstra_field(grid, source).items():
+        expected[y, x] = d
+    assert np.array_equal(field, expected)
+    return field
+
+
 class TestDistances:
+    def test_field_matches_dijkstra_on_random_maps(self):
+        rng = random.Random(29)
+        shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1)]
+        shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(80)]
+        cut_off = 0
+        for width, height in shapes:
+            grid = random_grid(rng, width, height)
+            cells = list(grid.cells())
+            for source in rng.sample(cells, min(3, len(cells))):
+                field = assert_field_matches_dijkstra(grid, source)
+                cut_off += int(((field < 0) & grid.passable).sum())
+        assert cut_off > 0  # some draws were disconnected
+
+    def test_field_on_edge_shapes(self):
+        single = grid_from_rows(["@@@", "@.@", "@@@"])
+        field = assert_field_matches_dijkstra(single, (1, 1))
+        assert field.tolist() == [[-1, -1, -1], [-1, 0, -1], [-1, -1, -1]]
+        assert assert_field_matches_dijkstra(open_grid(1), (0, 0)).tolist() == [[0]]
+        row = grid_from_rows(["..@..."])
+        assert assert_field_matches_dijkstra(row, (4, 0)).tolist() == [
+            [-1, -1, -1, 1, 0, 1]
+        ]
+        column = grid_from_rows([".", ".", "@", "."])
+        assert assert_field_matches_dijkstra(column, (0, 0)).ravel().tolist() == [
+            0, 1, -1, -1
+        ]
+
     def test_zero_distance(self, open5):
         assert bfs_distance(open5, (2, 2), (2, 2)) == 0
 

@@ -58,6 +58,13 @@ class TestExactBackend:
         # and the ceiling is adjustable
         assert eval_exact(2000, 2000, max_cells=10**7) > 0
 
+    def test_ceiling_counts_only_nonzero_terms(self):
+        # T(10, s) = 287 for every s >= 5, and the cap measures 10 * min(s, 6)
+        assert eval_exact(10, 10**9) == 287 == naive_recurrence(10, 6)
+        assert eval_exact(10, 10**9, max_cells=60) == 287
+        with pytest.raises(ValueError, match="eval_log"):
+            eval_exact(10, 10**9, max_cells=59)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             eval_exact(-1, 2)
