@@ -67,7 +67,6 @@ from .mdd import (
 from .model import (
     GridMap,
     Instance,
-    InstanceSummary,
     ParseError,
     ScenEntry,
     bfs_distance,
@@ -81,7 +80,6 @@ from .model import (
     serialize_map,
 )
 from .recurrence import (
-    DEFAULT_EXACT_CELL_LIMIT,
     eval_exact,
     eval_exact_table,
     eval_log,

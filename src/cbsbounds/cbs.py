@@ -19,6 +19,7 @@ from typing import Optional
 
 from .bounds import BoundInputs, bound_rec_genfunc
 from .logspace import log2_of_int
+from .mdd import mdd_counts
 from .model import Cell, Instance, Path, distance_field, path_cost
 from .recurrence import eval_log
 
@@ -441,20 +442,20 @@ class BoundCheckReport:
     margins: dict
 
 
-def empirical_bound_check(
-    instance: Instance, stats: SolveStats, mdd_sizes
-) -> BoundCheckReport:
+def empirical_bound_check(instance: Instance, stats: SolveStats) -> BoundCheckReport:
     """Assert generated <= every bound; raises BoundViolationError otherwise.
 
     Budgets: the exact per-agent MDD node sum (exponential bound), the
     recurrence at the edge-aware constraint budgets r = sum(M_i + E_i),
-    s = kC, and the generating-function bound (e n)**(kC).
+    s = kC, and the generating-function bound (e n)**(kC). Each agent's MDD
+    (nodes, edges) at the optimal cost C is counted by :func:`mdd_counts`.
     """
     c = stats.optimal_cost
     k = instance.k
     gen = stats.generated
     log2_gen = log2_of_int(gen)
 
+    mdd_sizes = [mdd_counts(instance.map, start, goal, c) for start, goal in instance.agents]
     mdd_budget = float(sum(m for m, _ in mdd_sizes))
     r = sum(m + e for m, e in mdd_sizes)
     s = k * c

@@ -59,7 +59,7 @@ def cmd_mdd(args) -> int:
 
 def cmd_recurrence(args) -> int:
     if args.backend == "exact":
-        print(recurrence.eval_exact(args.r, args.s, max_cells=args.exact_ceiling))
+        print(recurrence.eval_exact(args.r, args.s))
     else:
         print(_fmt(recurrence.eval_log(args.r, args.s).log2))
     return 0
@@ -177,8 +177,7 @@ def cmd_plot(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         [
-            "n", "s", "org_log2", "rec_ind_log2", "rec_gf_log2",
-            "recurrence_log2", "recurrence_backend",
+            "n", "s", "org_log2", "rec_ind_log2", "rec_gf_log2", "recurrence_log2",
         ]
     )
     for n in range(args.n_min, args.n_max + 1):
@@ -187,19 +186,11 @@ def cmd_plot(args) -> int:
         org = bounds_mod.bound_original(inputs)
         rec_ind = bounds_mod.bound_rec_induction(inputs)
         rec_gf = bounds_mod.bound_rec_genfunc(inputs)
-        r = n * s
-        if r * s <= args.exact_ceiling:
-            backend = "exact"
-            value = recurrence.eval_exact(r, s, max_cells=args.exact_ceiling)
-            rec_log2 = recurrence.Log2Value.from_int(value).log2
-        else:
-            backend = "log"
-            rec_log2 = recurrence.eval_log(r, s).log2
+        rec = recurrence.eval_log(n * s, s)
         writer.writerow(
             [
                 n, s,
-                _fmt(org.log2), _fmt(rec_ind.log2), _fmt(rec_gf.log2),
-                _fmt(rec_log2), backend,
+                _fmt(org.log2), _fmt(rec_ind.log2), _fmt(rec_gf.log2), _fmt(rec.log2),
             ]
         )
     return 0
@@ -214,11 +205,7 @@ def cmd_solve(args) -> int:
     violation = validate(instance, paths)
     if violation is not None:
         raise InvalidSolutionError(f"solver produced an invalid solution: {violation}")
-    sizes = [
-        mdd.mdd_counts(grid, start, goal, stats.optimal_cost)
-        for start, goal in instance.agents
-    ]
-    report = empirical_bound_check(instance, stats, sizes)
+    report = empirical_bound_check(instance, stats)
 
     if args.json:
         payload = {
@@ -271,9 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--backend", choices=("exact", "log"), default="exact")
-    p.add_argument(
-        "--exact-ceiling", type=int, default=recurrence.DEFAULT_EXACT_CELL_LIMIT
-    )
     p.set_defaults(func=cmd_recurrence)
 
     p = sub.add_parser("genfunc", help="critical points and contributions")
@@ -301,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("log", "sqrt", "linear"), required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument(
-        "--exact-ceiling", type=int, default=recurrence.DEFAULT_EXACT_CELL_LIMIT
-    )
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("solve", help="run the reference solver on a scenario")

@@ -293,33 +293,12 @@ def radius(grid: GridMap) -> tuple[int, Cell]:
 
     Raises ValueError on a disconnected map.
     """
-    cells = list(grid.cells())
-    first = distance_field(grid, cells[0])
-    for x, y in cells:
-        if first[y, x] < 0:
-            raise ValueError("disconnected map has no finite radius")
     best: Optional[int] = None
-    center = cells[0]
-    for cell in cells:
-        field = distance_field(grid, cell)
-        ecc = int(max(field[y, x] for x, y in cells))
+    for cell in grid.cells():
+        reach = distance_field(grid, cell)[grid.passable]
+        if best is None and reach.min() < 0:
+            raise ValueError("disconnected map has no finite radius")
+        ecc = int(reach.max())
         if best is None or ecc < best:
             best, center = ecc, cell
     return best, center
-
-
-@dataclass(frozen=True)
-class InstanceSummary:
-    """The (n, k, C) triple of a benchmark instance, for report tables."""
-
-    name: str
-    n: int
-    k: int
-    C: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.C < 0:
-            raise ValueError("summary requires n >= 1, k >= 1, C >= 0")
-
-    def csv_row(self) -> str:
-        return f"{self.name},{self.n},{self.k},{self.C}"

@@ -27,8 +27,9 @@ r, s >= 1,
 Terms with j > n vanish, so each sum stops at b ~ r/2 and an evaluation costs
 O(min(s, r/2)) binomials whatever r is. The exact backend sums arbitrary-
 precision integers; the log2-space backend combines the logarithms of the
-terms with one log-sum-exp, for budgets where the exact value has millions of
-digits. :func:`eval_exact_table` keeps the O(r s) dynamic program, an
+terms with one log-sum-exp. Each evaluator has one fixed limit set by its
+inputs: the exact value's size, the log backend's term count, the table's
+cells. :func:`eval_exact_table` keeps the O(r s) dynamic program, an
 independent algorithm for the whole table. The induction closed form
 3 * r**s dominates the recurrence.
 """
@@ -40,7 +41,9 @@ from typing import Iterator
 
 from .logspace import LN2, LOG2_3, Log2Value
 
-DEFAULT_EXACT_CELL_LIMIT = 10**6
+_EXACT_MAX_BITS = 2**13
+_TABLE_MAX_CELLS = 10**6
+_LOG_MAX_TERMS = 10**6
 
 
 def _check_args(r: int, s: int) -> None:
@@ -77,36 +80,36 @@ def _families(r: int, s: int) -> tuple[tuple[int, int, int], ...]:
     return ((r, 0, min(s, r // 2) + 1), (r - 1, 0, tail), (r, 1, tail))
 
 
-def eval_exact(r: int, s: int, *, max_cells: int = DEFAULT_EXACT_CELL_LIMIT) -> int:
+def eval_exact(r: int, s: int) -> int:
     """Exact T(r, s) from the closed form, a sum of O(min(s, r/2)) binomials.
 
-    ``max_cells`` caps r * min(s, r // 2 + 1), a limit on the size of the
-    exact output rather than on any table: the binomials vanish past
-    b = r / 2, so T(r, s) = T(r, r // 2 + 1) for larger s, and T is at most
-    about (e r / s)**s. Use :func:`eval_log` for budgets past the ceiling.
+    The binomials vanish past b = r / 2, so T(r, s) = T(r, r // 2 + 1) for
+    larger s. Refuses a query whose bound 3 * r**min(s, r // 2 + 1) exceeds
+    2**13 bits, a limit on the size of the exact output; use
+    :func:`eval_log` for those.
     """
     _check_args(r, s)
-    size = r * min(s, r // 2 + 1)
-    if size > max_cells:
-        raise ValueError(
-            f"exact value at r * min(s, r // 2 + 1) = {size} exceeds the "
-            f"{max_cells} ceiling; use eval_log"
-        )
+    if r and s:
+        bits = induction_bound(r, min(s, r // 2 + 1)).log2
+        if bits > _EXACT_MAX_BITS:
+            raise ValueError(
+                f"exact T({r}, {s}) may need {bits:.0f} bits, over the "
+                f"{_EXACT_MAX_BITS}-bit limit; use eval_log"
+            )
     return sum(
         math.comb(n - b, j + b) for n, j, count in _families(r, s) for b in range(count)
     )
 
 
-def eval_exact_table(
-    r_max: int, s_max: int, *, max_cells: int = DEFAULT_EXACT_CELL_LIMIT
-) -> list[list[int]]:
+def eval_exact_table(r_max: int, s_max: int) -> list[list[int]]:
     """The full table T[0..r_max][0..s_max] by dynamic programming; refuses
-    tables of more than ``max_cells`` cells."""
+    tables of more than 10**6 cells."""
     _check_args(r_max, s_max)
-    if (r_max + 1) * (s_max + 1) > max_cells:
+    cells = (r_max + 1) * (s_max + 1)
+    if cells > _TABLE_MAX_CELLS:
         raise ValueError(
-            f"exact table of {(r_max + 1) * (s_max + 1)} cells exceeds the "
-            f"{max_cells}-cell ceiling; use eval_log"
+            f"exact table of {cells} cells exceeds the {_TABLE_MAX_CELLS}-cell "
+            f"limit; use eval_log"
         )
     return list(_exact_rows(r_max, s_max))
 
@@ -118,8 +121,14 @@ def eval_log(r: int, s: int) -> Log2Value:
     steps by the ratio C(n-1, j+1) / C(n, j) = (n-j)(n-j-1) / ((j+1) n), a
     correctly rounded integer quotient, so no step cancels; ln C by lgamma
     differences loses digits once n is large. One log-sum-exp adds the terms.
+    Refuses min(s, r // 2 + 1) > 10**6, which would hold millions of terms.
     """
     _check_args(r, s)
+    if min(s, r // 2 + 1) > _LOG_MAX_TERMS:
+        raise ValueError(
+            f"log T({r}, {s}) sums about 3 * min(s, r // 2 + 1) terms; "
+            f"min(s, r // 2 + 1) is limited to {_LOG_MAX_TERMS}"
+        )
     if r == 0 or s == 0:
         return Log2Value(0.0)
     if r == 1:

@@ -247,11 +247,7 @@ def _check_one_instance(instance) -> int:
         paths, stats = solve(instance, splitting)
         assert stats.optimal_cost == oracle
         assert validate(instance, paths) is None
-        sizes = [
-            mdd_size(build_mdd(instance.map, s, g, stats.optimal_cost))
-            for s, g in instance.agents
-        ]
-        empirical_bound_check(instance, stats, sizes)  # raises on violation
+        empirical_bound_check(instance, stats)  # raises on violation
     return oracle
 
 

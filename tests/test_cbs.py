@@ -11,6 +11,7 @@ from cbsbounds import (
     bfs_distance,
     build_mdd,
     empirical_bound_check,
+    eval_log,
     low_level_search,
     mdd_size,
     path_cost,
@@ -19,13 +20,6 @@ from cbsbounds import (
 )
 from conftest import grid_from_rows, open_grid
 from oracles import joint_bfs_makespan, space_time_bfs_cost
-
-
-def agent_mdd_sizes(instance, cost):
-    sizes = []
-    for start, goal in instance.agents:
-        sizes.append(mdd_size(build_mdd(instance.map, start, goal, cost)))
-    return sizes
 
 
 def check_instance(instance, expected_cost=None):
@@ -43,8 +37,7 @@ def check_instance(instance, expected_cost=None):
         assert stats.optimal_cost == oracle, splitting
         assert validate(instance, paths) is None
         assert stats.generated >= stats.expanded >= 1
-        sizes = agent_mdd_sizes(instance, stats.optimal_cost)
-        report = empirical_bound_check(instance, stats, sizes)
+        report = empirical_bound_check(instance, stats)
         assert all(m >= 0 for m in report.margins.values())
     return oracle
 
@@ -204,8 +197,7 @@ class TestSolve:
         )
         paths, stats = solve(instance, "disjoint")
         assert validate(instance, paths) is None
-        sizes = agent_mdd_sizes(instance, stats.optimal_cost)
-        report = empirical_bound_check(instance, stats, sizes)
+        report = empirical_bound_check(instance, stats)
         assert report.margins["recurrence"] >= 0
 
 
@@ -240,11 +232,21 @@ class TestEmpiricalCheck:
         instance = Instance(open5, (((0, 0), (4, 4)),))
         paths, stats = solve(instance)
         assert stats.generated == 1
-        report = empirical_bound_check(
-            instance, stats, agent_mdd_sizes(instance, stats.optimal_cost)
-        )
+        report = empirical_bound_check(instance, stats)
         assert report.log2_generated == 0.0
         assert all(m >= 0 for m in report.margins.values())
+
+    def test_budgets_from_built_mdds_at_the_optimal_cost(self, pocket_corridor):
+        _, stats = solve(pocket_corridor)
+        sizes = [
+            mdd_size(build_mdd(pocket_corridor.map, s, g, stats.optimal_cost))
+            for s, g in pocket_corridor.agents
+        ]
+        report = empirical_bound_check(pocket_corridor, stats)
+        assert report.mdd_budget_log2 == sum(m for m, _ in sizes)
+        r = sum(m + e for m, e in sizes)
+        s = pocket_corridor.k * stats.optimal_cost
+        assert report.recurrence_log2 == eval_log(r, s).log2
 
     def test_two_agents_on_4x4(self):
         grid = open_grid(4)
@@ -255,7 +257,5 @@ class TestEmpiricalCheck:
         instance = Instance(open5, (((0, 0), (0, 0)), ((4, 4), (4, 4))))
         paths, stats = solve(instance)
         assert stats.optimal_cost == 0
-        report = empirical_bound_check(
-            instance, stats, agent_mdd_sizes(instance, 0)
-        )
+        report = empirical_bound_check(instance, stats)
         assert report.generated == 1

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from cbsbounds import bound_original, BoundInputs, eval_exact
-from cbsbounds.cli import main
+from cbsbounds import bound_original, BoundInputs, eval_exact, eval_log
+from cbsbounds.cli import _fmt, main
 
 MAP_TEXT = "type octile\nheight 2\nwidth 5\nmap\n.....\n@@.@@\n"
 SCEN_TEXT = (
@@ -74,6 +74,19 @@ class TestRecurrenceCommand:
         code, out, _ = run_cli(capsys, "recurrence", "--r", "10", "--s", "1000000000")
         assert code == 0
         assert out == "287\n"
+
+    def test_small_value_at_huge_r_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "recurrence", "--r", "10000000", "--s", "1")
+        assert code == 0
+        assert out == "20000001\n"
+
+    def test_log_term_limit_is_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "recurrence", "--r", "1000000000000", "--s", "1000001", "--backend", "log",
+        )
+        assert code == 1
+        assert "error:" in err
 
 
 class TestBoundsCommand:
@@ -164,9 +177,7 @@ class TestPlotCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == (
-            "n,s,org_log2,rec_ind_log2,rec_gf_log2,recurrence_log2,recurrence_backend"
-        )
+        assert lines[0] == "n,s,org_log2,rec_ind_log2,rec_gf_log2,recurrence_log2"
         last_org = -1.0
         for line in lines[1:]:
             parts = line.split(",")
@@ -175,7 +186,6 @@ class TestPlotCommand:
             last_org = org
             assert gf <= ind <= org
             assert rec <= gf + 1e-6
-            assert parts[6] == "exact"
 
     def test_linear_mode_sandwich(self, capsys):
         code, out, _ = run_cli(
@@ -185,13 +195,19 @@ class TestPlotCommand:
         assert parts[1] == "16"
         assert float(parts[5]) <= float(parts[4])
 
-    def test_backend_flag_switches(self, capsys):
+    @pytest.mark.parametrize("mode", ["log", "sqrt", "linear"])
+    def test_recurrence_column_is_eval_log(self, capsys, mode):
         code, out, _ = run_cli(
-            capsys,
-            "plot", "--mode", "sqrt", "--n-min", "40", "--n-max", "40",
-            "--exact-ceiling", "10",
+            capsys, "plot", "--mode", mode, "--n-min", "4", "--n-max", "150"
         )
-        assert out.strip().splitlines()[1].split(",")[6] == "log"
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 147
+        for row in rows:
+            parts = row.split(",")
+            n, s = int(parts[0]), int(parts[1])
+            assert len(parts) == 6
+            assert parts[5] == _fmt(eval_log(n * s, s).log2), row
 
 
 class TestSolveCommand:

@@ -7,7 +7,6 @@ import pytest
 
 from cbsbounds import (
     Instance,
-    InstanceSummary,
     ParseError,
     bfs_distance,
     distance_field,
@@ -292,8 +291,3 @@ class TestInstanceAndPaths:
         assert path_cost(path) == 3
         assert is_valid_path(open5, path)
         assert not is_valid_path(open5, ((0, 0), (2, 0)))
-
-    def test_summary_row(self):
-        assert InstanceSummary("empty-a", 2304, 64, 70).csv_row() == "empty-a,2304,64,70"
-        with pytest.raises(ValueError):
-            InstanceSummary("x", 0, 1, 1)

@@ -55,15 +55,30 @@ class TestExactBackend:
     def test_ceiling_directs_to_log_backend(self):
         with pytest.raises(ValueError, match="eval_log"):
             eval_exact(2000, 2000)
-        # and the ceiling is adjustable
-        assert eval_exact(2000, 2000, max_cells=10**7) > 0
 
     def test_ceiling_counts_only_nonzero_terms(self):
-        # T(10, s) = 287 for every s >= 5, and the cap measures 10 * min(s, 6)
+        # T(10, s) = 287 for every s >= 5; the limit sees 3 * 10**min(s, 6)
         assert eval_exact(10, 10**9) == 287 == naive_recurrence(10, 6)
-        assert eval_exact(10, 10**9, max_cells=60) == 287
+
+    def test_ceiling_measures_output_bits(self):
+        # log2(3 * r**s) at r = 2**20 is 1.58 + 20 s: s = 409 fits 2**13 bits,
+        # s = 410 does not
+        value = eval_exact(2**20, 409)
+        assert 0 < value.bit_length() <= 2**13
+        assert log2_of_int(value) == pytest.approx(eval_log(2**20, 409).log2, rel=1e-9)
         with pytest.raises(ValueError, match="eval_log"):
-            eval_exact(10, 10**9, max_cells=59)
+            eval_exact(2**20, 410)
+
+    def test_cheap_values_past_a_cell_count(self):
+        assert eval_exact(10**7, 1) == 2 * 10**7 + 1
+        assert len(str(eval_exact(100_000, 100))) == 343
+
+    def test_edge_of_a_million_cells_admitted(self):
+        # r * min(s, r // 2 + 1) <= 10**6 implies min(s, r // 2 + 1) * log2 r
+        # <= 7400, so every such query stays under 2**13 bits
+        assert eval_exact(10**6, 1) == 2 * 10**6 + 1
+        value = eval_exact(1413, 707)
+        assert log2_of_int(value) == pytest.approx(eval_log(1413, 707).log2, rel=1e-9)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -113,6 +128,14 @@ class TestLogBackend:
         value = eval_log(10, 10**9)
         assert time.perf_counter() - start < 1.0
         assert value.log2 == pytest.approx(saturated, rel=1e-9)
+
+    def test_term_limit_refuses_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limited to"):
+            eval_log(10**12, 10**6 + 1)
+        assert time.perf_counter() - start < 0.1
+        # the limit counts min(s, r // 2 + 1), not s
+        assert eval_log(10, 10**6 + 1).log2 == pytest.approx(math.log2(287), rel=1e-12)
 
     def test_large_budgets_finite(self):
         value = eval_log(5000, 50)
