@@ -19,8 +19,8 @@ from typing import Optional
 
 from .bounds import BoundInputs, bound_rec_genfunc
 from .logspace import log2_of_int
-from .mdd import mdd_counts
-from .model import Cell, Instance, Path, distance_field, path_cost
+from .mdd import _field_counts
+from .model import Cell, Instance, Path, _bfs, path_cost
 from .recurrence import eval_log
 
 
@@ -107,76 +107,67 @@ class Violation:
     t: int
 
 
-def _position(path: Path, t: int) -> Cell:
-    """Where the agent is at time t; it rests at its terminal cell forever."""
-    return path[t] if t < len(path) else path[-1]
-
-
 def find_conflicts(paths: tuple[Path, ...]) -> list[Conflict]:
-    """All vertex and swap conflicts, in time order (vertex first per step)."""
-    horizon = max(len(p) for p in paths) - 1
-    k = len(paths)
+    """All vertex and swap conflicts, in time order (vertex first per step).
+
+    Agents rest at their terminal cells. An agent in an occupied cell
+    conflicts with the lowest-numbered agent there; swaps follow by pair."""
     out = []
-    for t in range(horizon + 1):
+    before: list[Cell] = []
+    for t in range(max(len(p) for p in paths)):
+        here = [p[t] if t < len(p) else p[-1] for p in paths]
         occupied: dict[Cell, int] = {}
-        for i in range(k):
-            cell = _position(paths[i], t)
-            if cell in occupied:
-                out.append(Conflict((occupied[cell], i), "vertex", cell, t))
-            else:
-                occupied[cell] = i
-        if t == 0:
-            continue
-        for i in range(k):
-            ui, vi = _position(paths[i], t - 1), _position(paths[i], t)
-            if ui == vi:
-                continue
-            for j in range(i + 1, k):
-                uj, vj = _position(paths[j], t - 1), _position(paths[j], t)
-                if ui == vj and vi == uj:
-                    out.append(Conflict((i, j), "edge", (ui, vi), t))
+        for i, cell in enumerate(here):
+            first = occupied.setdefault(cell, i)
+            if first != i:
+                out.append(Conflict((first, i), "vertex", cell, t))
+        moves: dict[tuple[Cell, Cell], list[int]] = {}
+        for j, move in enumerate(zip(before, here)):
+            if move[0] != move[1]:
+                moves.setdefault(move, []).append(j)
+        for i, (u, v) in enumerate(zip(before, here)):
+            for j in moves.get((v, u), ()):
+                if j > i:
+                    out.append(Conflict((i, j), "edge", (u, v), t))
+        before = here
     return out
 
 
-def _constraint_tables(constraints, agent):
+def _constraint_tables(constraints, agent, index):
     """Split a constraint set into the tables the low level consults.
 
-    Returns (neg_vertex, neg_edge, required) where required maps t -> cell the
-    agent must occupy. Positive constraints of other agents turn into negative
-    constraints here. Returns None when the positives are contradictory.
+    Returns (neg_vertex, neg_edge, required) over cell ids ``index(cell)``,
+    where required maps t -> the id the agent must occupy. Positive constraints
+    of other agents turn into negative constraints here. Returns None when the
+    positives are contradictory.
     """
-    neg_v: set[tuple[Cell, int]] = set()
-    neg_e: set[tuple[Cell, Cell, int]] = set()
-    required: dict[int, Cell] = {}
+    neg_v: set[tuple[int, int]] = set()
+    neg_e: set[tuple[int, int, int]] = set()
+    required: dict[int, int] = {}
 
-    def require(t: int, cell: Cell) -> bool:
-        if required.get(t, cell) != cell:
-            return False
-        required[t] = cell
-        return True
+    def require(t: int, u: int) -> bool:
+        return required.setdefault(t, u) == u
 
     for c in constraints:
+        u, v = (index(c.loc),) * 2 if c.kind == "vertex" else map(index, c.loc)
         if c.agent == agent:
             if c.sign == "negative":
                 if c.kind == "vertex":
-                    neg_v.add((c.loc, c.t))
+                    neg_v.add((u, c.t))
                 else:
-                    u, v = c.loc
                     neg_e.add((u, v, c.t))
             else:
                 if c.kind == "vertex":
-                    if not require(c.t, c.loc):
+                    if not require(c.t, u):
                         return None
                 else:
-                    u, v = c.loc
                     if not (require(c.t - 1, u) and require(c.t, v)):
                         return None
         elif c.sign == "positive":
             # someone else is pinned there; this agent must keep clear
             if c.kind == "vertex":
-                neg_v.add((c.loc, c.t))
+                neg_v.add((u, c.t))
             else:
-                u, v = c.loc
                 neg_v.add((u, c.t - 1))
                 neg_v.add((v, c.t))
                 neg_e.add((v, u, c.t))
@@ -184,22 +175,19 @@ def _constraint_tables(constraints, agent):
 
 
 def low_level_search(
-    instance: Instance,
-    agent: int,
-    constraints,
-    horizon: int,
-    dist_to_goal=None,
+    instance: Instance, agent: int, constraints, horizon: int
 ) -> Optional[Path]:
     """Minimum-termination-time constrained path for one agent, or None.
 
-    Space-time A* over (cell, t) with the exact unconstrained distance to the
-    goal as heuristic; ties break toward higher g. The path terminates only
-    once no later negative constraint pins the goal cell and every positive
-    constraint away from the goal has been consumed.
+    Space-time A* over (cell id, t) on the map's ``steps``, with the cached
+    goal field (the exact unconstrained distance) as heuristic; ties break
+    toward higher g, then lower id. The path terminates only once no later
+    negative constraint pins the goal cell and every positive constraint
+    away from the goal has been consumed.
     """
     grid = instance.map
-    start, goal = instance.agents[agent]
-    tables = _constraint_tables(constraints, agent)
+    start, goal = (grid.index(cell) for cell in instance.agents[agent])
+    tables = _constraint_tables(constraints, agent, grid.index)
     if tables is None:
         return None
     neg_v, neg_e, required = tables
@@ -207,80 +195,65 @@ def low_level_search(
         return None
     if any(t > horizon for t in required):
         return None
-
-    if dist_to_goal is None:
-        dist_to_goal = distance_field(grid, goal)
-    h0 = int(dist_to_goal[start[1], start[0]])
-    if h0 < 0:
+    dist = instance.goal_fields[agent]
+    if dist[start] < 0:
         return None
 
-    floor = 0
-    for cell, t in neg_v:
-        if cell == goal:
-            floor = max(floor, t + 1)
-    for t, cell in required.items():
-        if cell != goal:
-            floor = max(floor, t)
+    floor = max(
+        [t + 1 for u, t in neg_v if u == goal]
+        + [t for t, u in required.items() if u != goal],
+        default=0,
+    )
 
-    open_heap = [(max(h0, floor), 0, start)]
-    parent: dict[tuple[Cell, int], Optional[tuple[Cell, int]]] = {(start, 0): None}
-    closed: set[tuple[Cell, int]] = set()
+    # every id reached shares the start's component: no distance is -1
+    steps = grid.steps
+    open_heap = [(max(dist[start], floor), 0, start)]
+    parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(start, 0): None}
+    closed: set[tuple[int, int]] = set()
     while open_heap:
-        f, neg_t, cell = heapq.heappop(open_heap)
+        f, neg_t, u = heapq.heappop(open_heap)
         t = -neg_t
-        if (cell, t) in closed:
+        if (u, t) in closed:
             continue
-        closed.add((cell, t))
-        if cell == goal and t >= floor:
+        closed.add((u, t))
+        if u == goal and t >= floor:
             waypoints = []
-            state: Optional[tuple[Cell, int]] = (cell, t)
+            state: Optional[tuple[int, int]] = (u, t)
             while state is not None:
-                waypoints.append(state[0])
+                waypoints.append(grid.cell(state[0]))
                 state = parent[state]
             return tuple(reversed(waypoints))
         nt = t + 1
         if nt > horizon:
             continue
         req = required.get(nt)
-        for nxt in (cell, *grid.neighbors(cell)):
-            if (nxt, nt) in parent:
+        for v in steps[u]:
+            if (v, nt) in parent or (v, nt) in neg_v:
                 continue
-            if (nxt, nt) in neg_v:
+            if (v != u and (u, v, nt) in neg_e) or (req is not None and req != v):
                 continue
-            if nxt != cell and (cell, nxt, nt) in neg_e:
-                continue
-            if req is not None and req != nxt:
-                continue
-            h = int(dist_to_goal[nxt[1], nxt[0]])
-            if h < 0:
-                continue
-            parent[(nxt, nt)] = (cell, t)
-            heapq.heappush(open_heap, (nt + h, -nt, nxt))
+            parent[(v, nt)] = (u, t)
+            heapq.heappush(open_heap, (nt + dist[v], -nt, v))
     return None
 
 
 def _violates(path: Path, agent: int, c: Constraint) -> bool:
-    """Whether a path breaks one constraint (including implied negatives)."""
+    """Whether a path breaks one constraint (including implied negatives).
+    The agent rests at its terminal cell after the path ends."""
     last = len(path) - 1
-    if c.agent == agent:
-        if c.kind == "vertex":
-            hit = _position(path, c.t) == c.loc
-            return hit if c.sign == "negative" else not hit
-        u, v = c.loc
-        moved = (
-            c.t <= last
-            and _position(path, c.t - 1) == u
-            and _position(path, c.t) == v
-        )
-        return moved if c.sign == "negative" else not moved
-    if c.sign != "positive":
-        return False
+    now = path[min(c.t, last)]
     if c.kind == "vertex":
-        return _position(path, c.t) == c.loc
-    u, v = c.loc
-    if _position(path, c.t - 1) == u or _position(path, c.t) == v:
-        return True
-    return _position(path, c.t - 1) == v and _position(path, c.t) == u
+        hit = now == c.loc
+    else:
+        u, v = c.loc
+        before = path[min(c.t - 1, last)]
+        if c.agent == agent:
+            hit = c.t <= last and before == u and now == v
+        else:
+            hit = before == u or now == v or (before == v and now == u)
+    if c.agent != agent:
+        return c.sign == "positive" and hit
+    return hit if c.sign == "negative" else not hit
 
 
 def _branches(conflict: Conflict, splitting: str) -> list[Constraint]:
@@ -308,19 +281,11 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
         raise ValueError(f"unknown splitting {splitting!r}")
     grid = instance.map
     k = instance.k
-    goal_fields = [distance_field(grid, g) for _, g in instance.agents]
-    dists = []
-    for i, (s, _) in enumerate(instance.agents):
-        d = int(goal_fields[i][s[1], s[0]])
-        if d < 0:
-            raise UnsolvableError(f"agent {i} cannot reach its goal")
-        dists.append(d)
+    fields = instance.goal_fields
+    dists = [fields[i][grid.index(s)] for i, (s, _) in enumerate(instance.agents)]
+    if -1 in dists:
+        raise UnsolvableError(f"agent {dists.index(-1)} cannot reach its goal")
     horizon = grid.n + k * max(dists)
-
-    def plan(agent: int, constraints) -> Optional[Path]:
-        return low_level_search(
-            instance, agent, constraints, horizon, goal_fields[agent]
-        )
 
     def make_node(constraints, paths, depth) -> CtNode:
         conflicts = find_conflicts(paths)
@@ -333,7 +298,9 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
             depth,
         )
 
-    root_paths = tuple(plan(i, frozenset()) for i in range(k))
+    root_paths = tuple(
+        low_level_search(instance, i, frozenset(), horizon) for i in range(k)
+    )
     for i, p in enumerate(root_paths):
         if p is None:
             raise UnsolvableError(f"agent {i} has no path within horizon {horizon}")
@@ -360,25 +327,26 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
                 tuple(expansion_costs),
             )
             return node.paths, stats
+        # Every path of a node satisfies every constraint of that node: the
+        # low level honours them all, and `replan` holds each agent whose
+        # path `_violates` the new one. Each branch is broken by a path of
+        # this node (a negative one by its own agent's path, a positive one
+        # by the other agent's), so no branch is already a node constraint.
         for constraint in _branches(node.conflict, splitting):
-            assert constraint not in node.constraints
-            child_constraints = node.constraints | {constraint}
+            constraints = node.constraints | {constraint}
             paths = list(node.paths)
             replan = [constraint.agent] + [
                 a
                 for a in range(k)
                 if a != constraint.agent and _violates(paths[a], a, constraint)
             ]
-            feasible = True
             for agent in replan:
-                p = plan(agent, child_constraints)
-                if p is None:
-                    feasible = False
+                paths[agent] = low_level_search(instance, agent, constraints, horizon)
+                if paths[agent] is None:
                     break
-                paths[agent] = p
-            if not feasible:
+            if None in paths:
                 continue
-            child = make_node(child_constraints, tuple(paths), node.depth + 1)
+            child = make_node(constraints, tuple(paths), node.depth + 1)
             seq += 1
             heapq.heappush(open_heap, (child.cost, child.n_conflicts, seq, child))
             generated += 1
@@ -448,14 +416,19 @@ def empirical_bound_check(instance: Instance, stats: SolveStats) -> BoundCheckRe
     Budgets: the exact per-agent MDD node sum (exponential bound), the
     recurrence at the edge-aware constraint budgets r = sum(M_i + E_i),
     s = kC, and the generating-function bound (e n)**(kC). Each agent's MDD
-    (nodes, edges) at the optimal cost C is counted by :func:`mdd_counts`.
+    (nodes, edges) at the optimal cost C is counted as :func:`mdd_counts`
+    counts it, from the instance's cached goal fields.
     """
     c = stats.optimal_cost
     k = instance.k
     gen = stats.generated
     log2_gen = log2_of_int(gen)
 
-    mdd_sizes = [mdd_counts(instance.map, start, goal, c) for start, goal in instance.agents]
+    grid = instance.map
+    mdd_sizes = [
+        _field_counts(grid, start, goal, c, (_bfs(grid, start), d_goal))
+        for (start, goal), d_goal in zip(instance.agents, instance.goal_fields)
+    ]
     mdd_budget = float(sum(m for m, _ in mdd_sizes))
     r = sum(m + e for m, e in mdd_sizes)
     s = k * c
@@ -464,7 +437,7 @@ def empirical_bound_check(instance: Instance, stats: SolveStats) -> BoundCheckRe
         gf_log2 = 0.0
     else:
         rec_log2 = eval_log(r, s).log2
-        gf_log2 = bound_rec_genfunc(BoundInputs(n=instance.map.n, k=k, C=c)).log2
+        gf_log2 = bound_rec_genfunc(BoundInputs(n=grid.n, k=k, C=c)).log2
 
     margins = {
         "mdd_exponential": mdd_budget - log2_gen,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Cell, GridMap, distance_field
+from .model import Cell, GridMap, _bfs, _field_array
 
 
 @dataclass(frozen=True)
@@ -44,25 +44,26 @@ class MddSizeBound:
 
 
 def _layer_intervals(
-    grid: GridMap, start: Cell, goal: Cell, cost: int
+    grid: GridMap, start: Cell, goal: Cell, cost: int, fields=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's MDD layers, as int64 arrays (lo, hi) of shape (h, w).
 
     Cell v is in layer t exactly when d_s(v) <= t <= C - d_g(v), so
     lo = d_s and hi = C - d_g; cells the start cannot reach get the empty
-    interval [C + 1, -1]. Raises ValueError on a blocked start or goal, an
-    unreachable goal, or a cost below the shortest distance.
+    interval [C + 1, -1]. ``fields`` holds the start's and goal's BFS
+    distance lists when the caller has them. Raises ValueError on a blocked
+    start or goal, an unreachable goal, or a cost below the shortest distance.
     """
     for which, cell in (("start", start), ("goal", goal)):
         if not grid.is_passable(cell):
             raise ValueError(f"{which} {cell} is blocked or out of bounds")
-    d_start = distance_field(grid, start)
-    d_goal = distance_field(grid, goal)
-    shortest = int(d_start[goal[1], goal[0]])
+    d_start, d_goal = fields or (_bfs(grid, start), _bfs(grid, goal))
+    shortest = d_start[grid.index(goal)]
     if shortest < 0:
         raise ValueError(f"unreachable goal {goal} from {start}")
     if cost < shortest:
         raise ValueError(f"infeasible cost {cost} < shortest distance {shortest}")
+    d_start, d_goal = _field_array(grid, d_start), _field_array(grid, d_goal)
     # start and goal share a component, so d_start and d_goal are -1 together
     reach = d_start >= 0
     lo = np.where(reach, d_start, cost + 1).astype(np.int64)
@@ -75,24 +76,25 @@ def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
     lo, hi = _layer_intervals(grid, start, goal, cost)
     ys, xs = np.nonzero(lo <= hi)
     members: list[list[Cell]] = [[] for _ in range(cost + 1)]
+    shared: dict[int, Cell] = {}  # layers and edges hold one tuple per cell
     for x, y, a, b in zip(
         xs.tolist(), ys.tolist(), lo[ys, xs].tolist(), hi[ys, xs].tolist()
     ):
+        cell = shared[grid.index((x, y))] = (x, y)
         for t in range(a, b + 1):
-            members[t].append((x, y))
+            members[t].append(cell)
     layers = tuple(frozenset(cells) for cells in members)
 
-    around: dict[Cell, tuple[Cell, ...]] = {}
-    edges = []
-    for t in range(cost):
-        nxt = layers[t + 1]
-        adj: dict[Cell, tuple[Cell, ...]] = {}
-        for u in layers[t]:
-            if u not in around:
-                around[u] = (u, *grid.neighbors(u))
-            adj[u] = tuple(v for v in around[u] if v in nxt)
-        edges.append(adj)
-    return Mdd(cost, layers, tuple(edges))
+    steps = grid.steps
+    around = {
+        cell: tuple(shared[v] for v in steps[u] if v in shared)
+        for u, cell in shared.items()
+    }
+    edges = tuple(
+        {u: tuple(v for v in around[u] if v in nxt) for u in here}
+        for here, nxt in zip(layers, layers[1:])
+    )
+    return Mdd(cost, layers, edges)
 
 
 def mdd_counts(grid: GridMap, start: Cell, goal: Cell, cost: int) -> tuple[int, int]:
@@ -103,7 +105,12 @@ def mdd_counts(grid: GridMap, start: Cell, goal: Cell, cost: int) -> tuple[int, 
     in hi - lo + 1 layers and waits in hi - lo of them; a move u -> v leaves
     u at every t in [max(lo_u, lo_v - 1), min(hi_u, hi_v - 1)].
     """
-    lo, hi = _layer_intervals(grid, start, goal, cost)
+    return _field_counts(grid, start, goal, cost)
+
+
+def _field_counts(grid, start, goal, cost, fields=None) -> tuple[int, int]:
+    """:func:`mdd_counts`, taking the two BFS distance lists when given."""
+    lo, hi = _layer_intervals(grid, start, goal, cost, fields)
     nodes = int(np.maximum(hi - lo + 1, 0).sum())
     edges = int(np.maximum(hi - lo, 0).sum())
     # each adjacent pair, left-right then up-down, in both directions

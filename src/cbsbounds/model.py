@@ -9,6 +9,7 @@ files. Everything here is immutable once constructed and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -57,29 +58,40 @@ class GridMap:
         return 0 <= x < self.width and 0 <= y < self.height
 
     def is_passable(self, cell: Cell) -> bool:
-        x, y = cell
-        return (
-            0 <= x < self.width
-            and 0 <= y < self.height
-            and bool(self.passable[y, x])
-        )
+        return self.in_bounds(cell) and bool(self.passable[cell[1], cell[0]])
 
-    def neighbors(self, cell: Cell) -> list[Cell]:
-        """Passable 4-neighbors of a cell (wait moves are not included)."""
-        x, y = cell
-        out = []
-        for dx, dy in MOVES:
-            nxt = (x + dx, y + dy)
-            if self.is_passable(nxt):
-                out.append(nxt)
-        return out
+    def index(self, cell: Cell) -> int:
+        """Flat id of a cell: column-major, ``x * (height + 1) + y``."""
+        return cell[0] * (self.height + 1) + cell[1]
+
+    def cell(self, u: int) -> Cell:
+        """The cell of a flat id; the inverse of :meth:`index`."""
+        return divmod(u, self.height + 1)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, ...], ...]:
+        """The one flat layout: ``steps[u] = (u, *passable neighbours of u
+        in MOVES order)``, or ``()`` where u is blocked or padding.
+
+        Ids are column-major, so they sort like ``(x, y)`` tuples: a heap
+        keyed on ids pops in the order one keyed on cells would. A padding
+        slot below each column and a padding column on the right (reached
+        from the left edge through negative indices) catch every step off
+        the map."""
+        h = self.height + 1
+        mask = np.zeros((self.width + 1, h), dtype=bool)
+        mask[:-1, :-1] = self.passable.T
+        free = mask.ravel().tolist()
+        offsets = [dx * h + dy for dx, dy in MOVES]
+        return tuple(
+            (u, *[u + d for d in offsets if free[u + d]]) if free[u] else ()
+            for u in range(self.width * h)
+        )
 
     def cells(self) -> Iterator[Cell]:
         """Passable cells in row-major order."""
-        for y in range(self.height):
-            for x in range(self.width):
-                if self.passable[y, x]:
-                    yield (x, y)
+        ys, xs = np.nonzero(self.passable)
+        return zip(xs.tolist(), ys.tolist())
 
 
 def parse_map(text: str) -> GridMap:
@@ -208,6 +220,11 @@ class Instance:
     def k(self) -> int:
         return len(self.agents)
 
+    @cached_property
+    def goal_fields(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's BFS distances to its goal, indexed by GridMap.index."""
+        return tuple(tuple(_bfs(self.map, goal)) for _, goal in self.agents)
+
 
 def parse_scen(text: str, count: int, grid: GridMap) -> Instance:
     """Build an Instance from the first ``count`` scenario rows."""
@@ -246,24 +263,12 @@ def is_valid_path(grid: GridMap, path: Path) -> bool:
     return True
 
 
-def distance_field(grid: GridMap, source: Cell) -> np.ndarray:
-    """BFS distances from ``source`` to every cell; -1 marks unreachable.
-
-    The search runs over a flat Python list of the mask with one blocked
-    column after each row and one blocked row at the end: cell (x, y) sits
-    at u = y * w + x with w = width + 1, its neighbours at u +- 1 and u +- w.
-    Stepping off the left or right edge lands in a padding column, off the
-    bottom in the padding row, and off the top on a negative index, which
-    Python reads from that same padding row, so no step needs a bounds test.
-    Unseen passable cells hold -1, blocked ones -2.
-    """
-    if not grid.is_passable(source):
-        raise ValueError(f"source {source} is blocked or out of bounds")
-    w = grid.width + 1
-    padded = np.full((grid.height + 1, w), -2, dtype=np.int32)
-    padded[:-1, :-1][grid.passable] = -1
-    dist = padded.ravel().tolist()
-    src = source[1] * w + source[0]
+def _bfs(grid: GridMap, source: Cell) -> list[int]:
+    """BFS distances from a passable cell, as a list indexed by
+    :meth:`GridMap.index`; -1 marks unreachable, blocked and padding ids."""
+    steps = grid.steps
+    dist = [-1] * len(steps)
+    src = grid.index(source)
     dist[src] = 0
     frontier = [src]
     d = 0
@@ -271,13 +276,25 @@ def distance_field(grid: GridMap, source: Cell) -> np.ndarray:
         d += 1
         nxt = []
         for u in frontier:
-            for v in (u - 1, u + 1, u - w, u + w):
-                if dist[v] == -1:
+            for v in steps[u]:
+                if dist[v] < 0:
                     dist[v] = d
                     nxt.append(v)
         frontier = nxt
-    field = np.array(dist, dtype=np.int32).reshape(grid.height + 1, w)[:-1, :-1]
-    return np.maximum(field, -1)
+    return dist
+
+
+def _field_array(grid: GridMap, dist: list[int]) -> np.ndarray:
+    """A list indexed by :meth:`GridMap.index` as an int32 (h, w) array."""
+    columns = np.array(dist, dtype=np.int32).reshape(grid.width, grid.height + 1)
+    return np.ascontiguousarray(columns[:, :-1].T)
+
+
+def distance_field(grid: GridMap, source: Cell) -> np.ndarray:
+    """BFS distances from ``source`` to every cell; -1 marks unreachable."""
+    if not grid.is_passable(source):
+        raise ValueError(f"source {source} is blocked or out of bounds")
+    return _field_array(grid, _bfs(grid, source))
 
 
 def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:
@@ -295,10 +312,10 @@ def radius(grid: GridMap) -> tuple[int, Cell]:
     """
     best: Optional[int] = None
     for cell in grid.cells():
-        reach = distance_field(grid, cell)[grid.passable]
-        if best is None and reach.min() < 0:
+        dist = _bfs(grid, cell)
+        if best is None and len(dist) - dist.count(-1) < grid.n:
             raise ValueError("disconnected map has no finite radius")
-        ecc = int(reach.max())
+        ecc = max(dist)
         if best is None or ecc < best:
             best, center = ecc, cell
     return best, center

@@ -244,3 +244,35 @@ def space_time_bfs_cost(grid, start, goal, neg_vertex, neg_edge, horizon):
         frontier = nxt_frontier
         t += 1
     return None
+
+
+def brute_force_conflicts(paths):
+    """Every conflict as (agents, kind, loc, t), by scanning every timestep
+    and every pair of agents; an agent rests at its last cell.
+
+    Per step, vertex conflicts come first: each agent b that shares a cell
+    with a lower-numbered agent is paired with the lowest such agent a, in
+    order of b. Swaps follow for every pair a < b in order, located at a's
+    move.
+    """
+
+    def at(path, t):
+        return path[min(t, len(path) - 1)]
+
+    k = len(paths)
+    out = []
+    for t in range(max(len(p) for p in paths)):
+        for b in range(k):
+            for a in range(b):
+                if at(paths[a], t) == at(paths[b], t):
+                    out.append(((a, b), "vertex", at(paths[b], t), t))
+                    break
+        if t == 0:
+            continue
+        for a in range(k):
+            for b in range(a + 1, k):
+                ua, va = at(paths[a], t - 1), at(paths[a], t)
+                ub, vb = at(paths[b], t - 1), at(paths[b], t)
+                if ua != va and ua == vb and va == ub:
+                    out.append(((a, b), "edge", (ua, va), t))
+    return out

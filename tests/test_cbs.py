@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+import cbsbounds.cbs as cbs
 from cbsbounds import (
     Constraint,
+    GridMap,
     Instance,
     UnsolvableError,
     bfs_distance,
     build_mdd,
     empirical_bound_check,
     eval_log,
+    find_conflicts,
     low_level_search,
     mdd_size,
     path_cost,
@@ -19,7 +23,13 @@ from cbsbounds import (
     validate,
 )
 from conftest import grid_from_rows, open_grid
-from oracles import joint_bfs_makespan, space_time_bfs_cost
+from oracles import (
+    MOVES,
+    brute_force_conflicts,
+    dijkstra_field,
+    joint_bfs_makespan,
+    space_time_bfs_cost,
+)
 
 
 def check_instance(instance, expected_cost=None):
@@ -68,24 +78,26 @@ class TestLowLevel:
         assert path[1] != (1, 0)
 
     def test_matches_space_time_bfs_on_random_constraint_sets(self):
-        grid = open_grid(4)
-        instance = Instance(grid, (((0, 0), (3, 3)),))
         rng = random.Random(31)
-        cells = list(grid.cells())
-        for _ in range(40):
-            neg_v = {
-                (rng.choice(cells), rng.randint(1, 8))
-                for _ in range(rng.randint(0, 6))
-            }
-            constraints = frozenset(
-                Constraint(0, "vertex", "negative", cell, t) for cell, t in neg_v
-            )
-            path = low_level_search(instance, 0, constraints, horizon=30)
-            oracle = space_time_bfs_cost(grid, (0, 0), (3, 3), neg_v, set(), 30)
-            if oracle is None:
-                assert path is None
-            else:
-                assert path is not None and path_cost(path) == oracle
+        for width, height in ((4, 4), (5, 3), (1, 6)):
+            grid = open_grid(width, height)
+            goal = (width - 1, height - 1)
+            instance = Instance(grid, (((0, 0), goal),))
+            cells = list(grid.cells())
+            for _ in range(40):
+                neg_v = {
+                    (rng.choice(cells), rng.randint(1, 8))
+                    for _ in range(rng.randint(0, 6))
+                }
+                constraints = frozenset(
+                    Constraint(0, "vertex", "negative", cell, t) for cell, t in neg_v
+                )
+                path = low_level_search(instance, 0, constraints, horizon=30)
+                oracle = space_time_bfs_cost(grid, (0, 0), goal, neg_v, set(), 30)
+                if oracle is None:
+                    assert path is None
+                else:
+                    assert path is not None and path_cost(path) == oracle
 
     def test_goal_constraint_delays_termination(self):
         grid = open_grid(3)
@@ -168,8 +180,6 @@ class TestSolve:
             solve(instance)
 
     def test_root_without_path_is_unsolvable(self, pocket_corridor, monkeypatch):
-        import cbsbounds.cbs as cbs
-
         monkeypatch.setattr(cbs, "low_level_search", lambda *args: None)
         with pytest.raises(UnsolvableError, match="agent 0 has no path"):
             solve(pocket_corridor)
@@ -199,6 +209,120 @@ class TestSolve:
         assert validate(instance, paths) is None
         report = empirical_bound_check(instance, stats)
         assert report.margins["recurrence"] >= 0
+
+
+def contended_instances(seed, count):
+    """Seeded 8 x 8 maps with about 10% of cells blocked and seven agents,
+    each goal within distance 5 of its start: crowded enough that most
+    solves branch, and at this seed no solve takes more than a fraction of
+    a second."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        mask = np.array(
+            [[rng.random() >= 0.1 for _ in range(8)] for _ in range(8)], dtype=bool
+        )
+        grid = GridMap(8, 8, mask)
+        cells = [(x, y) for y in range(8) for x in range(8) if mask[y, x]]
+        component = sorted(dijkstra_field(grid, rng.choice(cells)))
+        if len(component) < 14:
+            continue
+        agents, goals = [], set()
+        for start in rng.sample(component, 7):
+            near = [
+                cell
+                for cell, d in sorted(dijkstra_field(grid, start).items())
+                if 1 <= d <= 5 and cell not in goals
+            ]
+            goal = rng.choice(near)
+            goals.add(goal)
+            agents.append((start, goal))
+        out.append(Instance(grid, tuple(agents)))
+    return out
+
+
+class TestConstraintTree:
+    def test_every_node_path_satisfies_every_node_constraint(self, monkeypatch):
+        # the invariant that keeps a branch from repeating a node constraint
+        made = cbs.CtNode
+        seen = {"nodes": 0, "positive": 0}
+
+        def checked_node(constraints, paths, *rest):
+            seen["nodes"] += 1
+            for c in constraints:
+                seen["positive"] += c.sign == "positive"
+                for agent, path in enumerate(paths):
+                    assert not cbs._violates(path, agent, c), (c, agent, path)
+            return made(constraints, paths, *rest)
+
+        monkeypatch.setattr(cbs, "CtNode", checked_node)
+        for instance in contended_instances(2, 40):
+            for splitting in ("classic", "disjoint"):
+                solve(instance, splitting)
+        assert seen["nodes"] > 1000 and seen["positive"] > 0
+
+
+def random_walk(rng, side, length):
+    """A path of waits and unit moves inside a side x side square."""
+    cell = (rng.randrange(side), rng.randrange(side))
+    path = [cell]
+    for _ in range(length - 1):
+        dx, dy = rng.choice(((0, 0),) + MOVES)
+        if 0 <= cell[0] + dx < side and 0 <= cell[1] + dy < side:
+            cell = (cell[0] + dx, cell[1] + dy)
+        path.append(cell)
+    return tuple(path)
+
+
+def conflict_rows(paths):
+    return [(c.agents, c.kind, c.loc, c.t) for c in find_conflicts(paths)]
+
+
+class TestFindConflicts:
+    def test_hand_built_crowd(self):
+        # three agents on (1, 0) from t = 1, agent 2 standing still from the
+        # start; agents 3 and 4 make the same move against agent 5's
+        paths = (
+            ((0, 0), (1, 0)),
+            ((2, 0), (1, 0), (1, 0)),
+            ((1, 0),),
+            ((0, 1), (1, 1)),
+            ((0, 1), (1, 1)),
+            ((1, 1), (0, 1)),
+        )
+        expected = [
+            ((3, 4), "vertex", (0, 1), 0),
+            ((0, 1), "vertex", (1, 0), 1),
+            ((0, 2), "vertex", (1, 0), 1),
+            ((3, 4), "vertex", (1, 1), 1),
+            ((3, 5), "edge", ((0, 1), (1, 1)), 1),
+            ((4, 5), "edge", ((0, 1), (1, 1)), 1),
+            ((0, 1), "vertex", (1, 0), 2),
+            ((0, 2), "vertex", (1, 0), 2),
+            ((3, 4), "vertex", (1, 1), 2),
+        ]
+        assert brute_force_conflicts(paths) == expected
+        assert conflict_rows(paths) == expected
+
+    def test_matches_brute_force_on_random_path_sets(self):
+        # on 2 x 2 and 3 x 3 squares, crowds and shared moves are common
+        rng = random.Random(47)
+        crowded = same_move = uneven = 0
+        for _ in range(400):
+            side = rng.choice((2, 3))
+            paths = tuple(
+                random_walk(rng, side, rng.randint(1, 8))
+                for _ in range(rng.randint(2, 6))
+            )
+            expected = brute_force_conflicts(paths)
+            assert conflict_rows(paths) == expected
+            uneven += len({len(p) for p in paths}) > 1
+            vertex = [(loc, t) for _, kind, loc, t in expected if kind == "vertex"]
+            swaps = [(loc, t) for _, kind, loc, t in expected if kind == "edge"]
+            # three agents on one cell, and two agents swapping with a third
+            crowded += len(vertex) > len(set(vertex))
+            same_move += len(swaps) > len(set(swaps))
+        assert crowded and same_move and uneven
 
 
 class TestValidate:

@@ -19,7 +19,7 @@ from cbsbounds import (
     serialize_map,
 )
 from conftest import grid_from_rows, open_grid, random_grid
-from oracles import brute_force_radius, dijkstra_distance, dijkstra_field
+from oracles import MOVES, brute_force_radius, dijkstra_distance, dijkstra_field
 
 
 def map_text(rows: list[str]) -> str:
@@ -156,10 +156,35 @@ def assert_field_matches_dijkstra(grid, source):
     return field
 
 
+class TestLayout:
+    def test_steps_are_the_four_neighbours(self):
+        rng = random.Random(37)
+        shapes = [(1, 1), (1, 7), (7, 1), (5, 3), (3, 5), (1, 6), (6, 1)]
+        shapes += [(rng.randint(1, 10), rng.randint(1, 10)) for _ in range(40)]
+        for width, height in shapes:
+            grid = random_grid(rng, width, height)
+            every = [(x, y) for x in range(width) for y in range(height)]
+            passable = {(x, y) for x, y in every if grid.passable[y, x]}
+            ids = [grid.index(cell) for cell in every]
+            assert len(set(ids)) == len(ids)
+            assert ids == sorted(ids)  # ids sort like (x, y) tuples
+            for cell, u in zip(every, ids):
+                assert grid.cell(u) == cell
+                if cell not in passable:
+                    assert grid.steps[u] == ()
+                    continue
+                x, y = cell
+                around = [(x + dx, y + dy) for dx, dy in MOVES]
+                expected = [cell] + [c for c in around if c in passable]
+                assert [grid.cell(v) for v in grid.steps[u]] == expected
+            # no id outside the map carries a step
+            assert sum(1 for s in grid.steps if s) == len(passable)
+
+
 class TestDistances:
     def test_field_matches_dijkstra_on_random_maps(self):
         rng = random.Random(29)
-        shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1)]
+        shapes = [(1, 1), (1, 9), (9, 1), (1, 2), (2, 1), (5, 3), (1, 6)]
         shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(80)]
         cut_off = 0
         for width, height in shapes:
