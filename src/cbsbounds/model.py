@@ -305,17 +305,66 @@ def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:
     return None if d < 0 else int(d)
 
 
-def radius(grid: GridMap) -> tuple[int, Cell]:
-    """Minimum eccentricity over all cells, with one center cell attaining it.
+# Words in each of a source block's two (h + 2, w + 2, words) bitset arrays:
+# 8 MiB apiece.
+_RADIUS_BLOCK_WORDS = 1 << 20
 
-    Raises ValueError on a disconnected map.
+
+def radius(grid: GridMap) -> tuple[int, Cell]:
+    """Minimum eccentricity over all cells, with the center attaining it.
+
+    Ties go to the first cell in row-major order (by row, then column) that
+    attains the minimum. One bit-parallel BFS runs from every passable cell
+    at once and stops at the radius, not at the diameter; sources are taken
+    in blocks whose bitsets hold at most a fixed number of words, so memory
+    stays bounded on large maps. Raises ValueError on a disconnected map.
     """
-    best: Optional[int] = None
-    for cell in grid.cells():
-        dist = _bfs(grid, cell)
-        if best is None and len(dist) - dist.count(-1) < grid.n:
-            raise ValueError("disconnected map has no finite radius")
-        ecc = max(dist)
-        if best is None or ecc < best:
-            best, center = ecc, cell
+    ys, xs = np.nonzero(grid.passable)
+    cells = (grid.height + 2) * (grid.width + 2)
+    block = 64 * max(1, _RADIUS_BLOCK_WORDS // cells)
+    best = center = None
+    for lo in range(0, len(ys), block):
+        hit = _block_radius(
+            grid.passable, ys[lo : lo + block], xs[lo : lo + block], best
+        )
+        if hit is not None:
+            best, j = hit
+            center = (int(xs[lo + j]), int(ys[lo + j]))
     return best, center
+
+
+def _block_radius(
+    passable: np.ndarray, ys: np.ndarray, xs: np.ndarray, limit: Optional[int]
+) -> Optional[tuple[int, int]]:
+    """BFS from every source in a block at once: ``(d, j)`` for the first
+    step d at which some source's ball covers every passable cell, j being
+    the lowest such source; None if no source does so before step
+    ``limit``. A step that reaches nothing new before any source covers
+    the map means the map is disconnected."""
+    h, w = passable.shape
+    ids = np.arange(len(ys))
+    reach = np.zeros((h + 2, w + 2, -(-len(ys) // 64)), dtype=np.uint64)
+    reach[ys + 1, xs + 1, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    spare = np.zeros_like(reach)
+    full = ~np.uint64(0)
+    keep = passable[:, :, None]
+    mask = np.where(keep, full, np.uint64(0))
+    d = 0
+    while limit is None or d < limit:
+        inner = reach[1:-1, 1:-1]
+        covered = np.bitwise_and.reduce(inner, axis=(0, 1), where=keep, initial=full)
+        if covered.any():
+            word = int(np.flatnonzero(covered)[0])
+            bits = int(covered[word])
+            return d, 64 * word + (bits & -bits).bit_length() - 1
+        step = spare[1:-1, 1:-1]
+        np.bitwise_or(reach[:-2, 1:-1], reach[2:, 1:-1], out=step)
+        step |= reach[1:-1, :-2]
+        step |= reach[1:-1, 2:]
+        step &= mask
+        step |= inner
+        if np.array_equal(step, inner):
+            raise ValueError("disconnected map has no finite radius")
+        reach, spare = spare, reach
+        d += 1
+    return None

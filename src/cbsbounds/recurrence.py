@@ -27,9 +27,9 @@ r, s >= 1,
 Terms with j > n vanish, so each sum stops at b ~ r/2 and an evaluation costs
 O(min(s, r/2)) binomials whatever r is. The exact backend sums arbitrary-
 precision integers; the log2-space backend combines the logarithms of the
-terms with one log-sum-exp. Each evaluator has one fixed limit set by its
-inputs: the exact value's size, the log backend's term count, the table's
-cells. :func:`eval_exact_table` keeps the O(r s) dynamic program, an
+terms with a running log-sum-exp. Each evaluator has one fixed limit set by
+its inputs: the exact value's size, the log backend's term count, the
+table's cells. :func:`eval_exact_table` keeps the O(r s) dynamic program, an
 independent algorithm for the whole table. The induction closed form
 3 * r**s dominates the recurrence.
 """
@@ -37,6 +37,7 @@ independent algorithm for the whole table. The induction closed form
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterator
 
 from .logspace import LN2, LOG2_3, Log2Value
@@ -44,6 +45,7 @@ from .logspace import LN2, LOG2_3, Log2Value
 _EXACT_MAX_BITS = 2**13
 _TABLE_MAX_CELLS = 10**6
 _LOG_MAX_TERMS = 10**6
+_LOG_BLOCK_TERMS = 4096
 
 
 def _check_args(r: int, s: int) -> None:
@@ -120,8 +122,10 @@ def eval_log(r: int, s: int) -> Log2Value:
     Each sum starts from an exact ln C(n, 0) = 0 or ln C(n, 1) = ln n and
     steps by the ratio C(n-1, j+1) / C(n, j) = (n-j)(n-j-1) / ((j+1) n), a
     correctly rounded integer quotient, so no step cancels; ln C by lgamma
-    differences loses digits once n is large. One log-sum-exp adds the terms.
-    Refuses min(s, r // 2 + 1) > 10**6, which would hold millions of terms.
+    differences loses digits once n is large. A running log-sum-exp adds the
+    terms in blocks of 4096, so memory stays constant; a query of at most
+    that many terms is one plain log-sum-exp. Refuses min(s, r // 2 + 1) >
+    10**6, which would sum millions of terms.
     """
     _check_args(r, s)
     if min(s, r // 2 + 1) > _LOG_MAX_TERMS:
@@ -133,16 +137,28 @@ def eval_log(r: int, s: int) -> Log2Value:
         return Log2Value(0.0)
     if r == 1:
         return Log2Value(LOG2_3)
-    terms: list[float] = []
+    terms = _log_terms(r, s)
+    top, total = -math.inf, 0.0
+    while block := list(islice(terms, _LOG_BLOCK_TERMS)):
+        block_top = max(block)
+        block_sum = math.fsum(math.exp(v - block_top) for v in block)
+        if block_top > top:
+            total = total * math.exp(top - block_top) + block_sum
+            top = block_top
+        else:
+            total += block_sum * math.exp(block_top - top)
+    return Log2Value((top + math.log(total)) / LN2)
+
+
+def _log_terms(r: int, s: int) -> Iterator[float]:
+    """ln of each nonzero term of the closed form, family by family."""
     for n, j, count in _families(r, s):
         v = math.log(math.comb(n, j))
-        terms.append(v)
+        yield v
         for _ in range(count - 1):
             v += math.log((n - j) * (n - j - 1) / ((j + 1) * n))
             n, j = n - 1, j + 1
-            terms.append(v)
-    top = max(terms)
-    return Log2Value((top + math.log(math.fsum(math.exp(v - top) for v in terms))) / LN2)
+            yield v
 
 
 def induction_bound(r: int, s: int) -> Log2Value:

@@ -54,16 +54,23 @@ def dijkstra_field(grid, source):
 
 
 def brute_force_radius(grid):
-    """Minimum eccentricity by per-cell Dijkstra; None if disconnected."""
-    cells = list(grid.cells())
+    """``(radius, center)`` by per-cell Dijkstra, the center being the first
+    cell in row-major order (by row, then column) with minimum
+    eccentricity; None if the map is disconnected."""
+    cells = [
+        (x, y)
+        for y in range(grid.height)
+        for x in range(grid.width)
+        if grid.is_passable((x, y))
+    ]
     best = None
     for cell in cells:
         field = dijkstra_field(grid, cell)
         if len(field) != len(cells):
             return None
         ecc = max(field.values())
-        if best is None or ecc < best:
-            best = ecc
+        if best is None or ecc < best[0]:
+            best = (ecc, cell)
     return best
 
 

@@ -18,6 +18,7 @@ from cbsbounds import (
     read_scen_entries,
     serialize_map,
 )
+from cbsbounds import model
 from conftest import grid_from_rows, open_grid, random_grid
 from oracles import MOVES, brute_force_radius, dijkstra_distance, dijkstra_field
 
@@ -286,20 +287,47 @@ class TestRadius:
 
     def test_matches_brute_force_on_random_maps(self):
         rng = random.Random(23)
-        done = 0
-        while done < 6:
-            rows = [
-                "".join("." if rng.random() > 0.3 else "@" for _ in range(7))
-                for _ in range(6)
-            ]
-            grid = grid_from_rows(rows) if any("." in r for r in rows) else None
-            if grid is None:
-                continue
+        shapes = [(1, 1), (1, 9), (9, 1), (2, 7), (7, 2), (7, 6), (5, 9), (10, 3)]
+        connected = disconnected = 0
+        for w, h in shapes * 8:
+            grid = random_grid(rng, w, h)
             expected = brute_force_radius(grid)
             if expected is None:
-                continue  # disconnected sample
-            assert radius(grid)[0] == expected
-            done += 1
+                disconnected += 1
+                with pytest.raises(ValueError, match="disconnected"):
+                    radius(grid)
+            else:
+                connected += 1
+                assert radius(grid) == expected, (w, h)
+        assert connected >= 30 and disconnected >= 10
+
+    def test_bitsets_span_words_and_blocks(self, monkeypatch):
+        rng = random.Random(29)
+        # open 1 x 128 ties cells 63 and 64, which fall in different blocks
+        grids = [open_grid(9, 8), open_grid(13, 11), open_grid(1, 128)]
+        whole = [brute_force_radius(g) for g in grids]
+        while len(grids) < 8:
+            grid = random_grid(rng, rng.randint(9, 13), rng.randint(9, 13))
+            expected = brute_force_radius(grid) if grid.n > 64 else None
+            if expected is not None:
+                grids.append(grid)
+                whole.append(expected)
+        assert sum(g.n > 128 for g in grids) >= 2
+        assert [radius(g) for g in grids] == whole
+
+        blocks = []
+        block_radius = model._block_radius
+
+        def spy(passable, ys, xs, limit):
+            blocks.append(len(ys))
+            return block_radius(passable, ys, xs, limit)
+
+        monkeypatch.setattr(model, "_RADIUS_BLOCK_WORDS", 1)
+        monkeypatch.setattr(model, "_block_radius", spy)
+        for grid, got in zip(grids, whole):
+            blocks.clear()
+            assert radius(grid) == got
+            assert blocks == [64] * (grid.n // 64) + [grid.n % 64] * (grid.n % 64 > 0)
 
 
 class TestInstanceAndPaths:

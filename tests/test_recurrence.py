@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from cbsbounds import (
     induction_bound,
     log2_of_int,
 )
+from cbsbounds import recurrence
 from oracles import naive_recurrence, recurrence_log2_floor
 
 
@@ -136,6 +138,29 @@ class TestLogBackend:
         assert time.perf_counter() - start < 0.1
         # the limit counts min(s, r // 2 + 1), not s
         assert eval_log(10, 10**6 + 1).log2 == pytest.approx(math.log2(287), rel=1e-12)
+
+    def test_blocked_sum_matches_table(self, monkeypatch):
+        table = eval_exact_table(80, 30)
+        whole = {(r, s): eval_log(r, s).log2 for r in (10**9, 10**12) for s in (500, 5000)}
+        monkeypatch.setattr(recurrence, "_LOG_BLOCK_TERMS", 3)
+        for r in range(81):
+            for s in range(31):
+                exact = log2_of_int(table[r][s])
+                assert eval_log(r, s).log2 == pytest.approx(exact, rel=1e-9), (r, s)
+        for r in (10**7, 10**12):
+            assert eval_log(r, 1).log2 == pytest.approx(math.log2(2 * r + 1), rel=1e-12)
+        for (r, s), value in whole.items():
+            assert eval_log(r, s).log2 == pytest.approx(value, rel=1e-12), (r, s)
+
+    def test_memory_stays_constant(self):
+        tracemalloc.start()
+        try:
+            value = eval_log(10**9, 8000)  # about 24,000 terms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value.log2)
+        assert peak < 2**19
 
     def test_large_budgets_finite(self):
         value = eval_log(5000, 50)
