@@ -305,8 +305,8 @@ def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:
     return None if d < 0 else int(d)
 
 
-# Words in each of a source block's two (h + 2, w + 2, words) bitset arrays:
-# 8 MiB apiece.
+# Words in each of a source block's two (cells + padding, words) bitset
+# arrays: 8 MiB apiece.
 _RADIUS_BLOCK_WORDS = 1 << 20
 
 
@@ -314,18 +314,25 @@ def radius(grid: GridMap) -> tuple[int, Cell]:
     """Minimum eccentricity over all cells, with the center attaining it.
 
     Ties go to the first cell in row-major order (by row, then column) that
-    attains the minimum. One bit-parallel BFS runs from every passable cell
-    at once and stops at the radius, not at the diameter; sources are taken
-    in blocks whose bitsets hold at most a fixed number of words, so memory
-    stays bounded on large maps. Raises ValueError on a disconnected map.
+    attains the minimum. One BFS from the first cell checks that the map is
+    connected and brackets the radius: with e its eccentricity, the radius
+    lies in [ceil(e / 2), e]. One bit-parallel BFS then runs from every
+    passable cell at once and stops at the radius, not at the diameter;
+    sources are taken in blocks whose bitsets hold at most a fixed number of
+    words, so memory stays bounded on large maps. Raises ValueError on a
+    disconnected map.
     """
     ys, xs = np.nonzero(grid.passable)
+    dist = _bfs(grid, (int(xs[0]), int(ys[0])))
+    if len(dist) - dist.count(-1) < grid.n:
+        raise ValueError("disconnected map has no finite radius")
+    ecc = max(dist)
     cells = (grid.height + 2) * (grid.width + 2)
     block = 64 * max(1, _RADIUS_BLOCK_WORDS // cells)
-    best = center = None
+    low, best, center = (ecc + 1) // 2, ecc + 1, None
     for lo in range(0, len(ys), block):
         hit = _block_radius(
-            grid.passable, ys[lo : lo + block], xs[lo : lo + block], best
+            grid.passable, ys[lo : lo + block], xs[lo : lo + block], low, best
         )
         if hit is not None:
             best, j = hit
@@ -334,37 +341,43 @@ def radius(grid: GridMap) -> tuple[int, Cell]:
 
 
 def _block_radius(
-    passable: np.ndarray, ys: np.ndarray, xs: np.ndarray, limit: Optional[int]
+    passable: np.ndarray, ys: np.ndarray, xs: np.ndarray, first: int, stop: int
 ) -> Optional[tuple[int, int]]:
     """BFS from every source in a block at once: ``(d, j)`` for the first
-    step d at which some source's ball covers every passable cell, j being
-    the lowest such source; None if no source does so before step
-    ``limit``. A step that reaches nothing new before any source covers
-    the map means the map is disconnected."""
+    step d in ``[first, stop)`` at which some source's ball covers every
+    passable cell, j being the lowest such source; None if there is none.
+
+    Cells are rows of a row-major array padded by one blocked cell on every
+    side, so a cell's four neighbours are the rows at offsets -1, +1, -W and
+    +W (W the padded width), and one step is five ORs of contiguous slices
+    and a mask."""
     h, w = passable.shape
+    width = w + 2
+    pad = np.zeros((h + 2, width), dtype=bool)
+    pad[1:-1, 1:-1] = passable
+    keep = pad.ravel()
+    rows = np.flatnonzero(keep)
+    size = len(keep)
     ids = np.arange(len(ys))
-    reach = np.zeros((h + 2, w + 2, -(-len(ys) // 64)), dtype=np.uint64)
-    reach[ys + 1, xs + 1, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    reach = np.zeros((size, -(-len(ys) // 64)), dtype=np.uint64)
+    bit = np.uint64(1) << (ids % 64).astype(np.uint64)
+    reach[(ys + 1) * width + xs + 1, ids // 64] = bit
     spare = np.zeros_like(reach)
-    full = ~np.uint64(0)
-    keep = passable[:, :, None]
-    mask = np.where(keep, full, np.uint64(0))
-    d = 0
-    while limit is None or d < limit:
-        inner = reach[1:-1, 1:-1]
-        covered = np.bitwise_and.reduce(inner, axis=(0, 1), where=keep, initial=full)
-        if covered.any():
-            word = int(np.flatnonzero(covered)[0])
-            bits = int(covered[word])
-            return d, 64 * word + (bits & -bits).bit_length() - 1
-        step = spare[1:-1, 1:-1]
-        np.bitwise_or(reach[:-2, 1:-1], reach[2:, 1:-1], out=step)
-        step |= reach[1:-1, :-2]
-        step |= reach[1:-1, 2:]
+    mask = np.where(keep, ~np.uint64(0), np.uint64(0))[width:-width, None]
+    for d in range(stop):
+        if d >= first:
+            covered = np.bitwise_and.reduce(reach[rows], axis=0)
+            if covered.any():
+                word = int(np.flatnonzero(covered)[0])
+                bits = int(covered[word])
+                return d, 64 * word + (bits & -bits).bit_length() - 1
+        step = spare[width:-width]
+        np.bitwise_or(
+            reach[width - 1 : -width - 1], reach[width + 1 : -width + 1], out=step
+        )
+        step |= reach[: size - 2 * width]
+        step |= reach[2 * width :]
+        step |= reach[width:-width]
         step &= mask
-        step |= inner
-        if np.array_equal(step, inner):
-            raise ValueError("disconnected map has no finite radius")
         reach, spare = spare, reach
-        d += 1
     return None

@@ -318,9 +318,9 @@ class TestRadius:
         blocks = []
         block_radius = model._block_radius
 
-        def spy(passable, ys, xs, limit):
+        def spy(passable, ys, xs, *steps):
             blocks.append(len(ys))
-            return block_radius(passable, ys, xs, limit)
+            return block_radius(passable, ys, xs, *steps)
 
         monkeypatch.setattr(model, "_RADIUS_BLOCK_WORDS", 1)
         monkeypatch.setattr(model, "_block_radius", spy)
