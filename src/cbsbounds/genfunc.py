@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .logspace import Log2Value, log2_add
@@ -249,38 +248,16 @@ def contribution_single(point: CriticalPoint, r: int, s: int) -> Contribution:
     return Contribution(point, Log2Value(log2v))
 
 
-def _growth_log_diff(n: float) -> float:
-    """ln of ((n-1)^(n-1) / (n-2)^(n-2)) / phi^n for n > 2."""
-    return (
-        (n - 1.0) * math.log(n - 1.0)
-        - (n - 2.0) * math.log(n - 2.0)
-        - n * math.log(GOLDEN_RATIO)
-    )
-
-
-@lru_cache(maxsize=1)
 def crossover_ratio() -> float:
     """The ratio n0 where the single-point growth base equals phi**n.
 
-    The two growth curves are tangent: their log-difference peaks at exactly
-    zero, so the unique solution is located by bisecting the derivative of the
-    log-difference, then verified against the defining equality.
+    The log-difference (n-1) ln(n-1) - (n-2) ln(n-2) - n ln(phi) has slope
+    ln((n-1)/(n-2)) - ln(phi), zero at (n-1)/(n-2) = phi, so n0 = phi + 2.
+    There n0 - 1 = phi**2 and n0 - 2 = phi, and since phi**2 = phi + 1 the
+    log-difference is (2 phi**2 - phi - (phi + 2)) ln(phi) = 0: the two
+    growth curves are tangent at n0.
     """
-    lo, hi = 2.0 + 1e-12, 64.0
-
-    def slope(n: float) -> float:
-        return math.log((n - 1.0) / (n - 2.0)) - math.log(GOLDEN_RATIO)
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    n0 = 0.5 * (lo + hi)
-    if abs(_growth_log_diff(n0)) > 1e-9:
-        raise ArithmeticError(f"crossover equality not satisfied at n0={n0!r}")
-    return n0
+    return 2.0 + GOLDEN_RATIO
 
 
 def approx_linear(n: int, s: int) -> Log2Value:

@@ -3,11 +3,11 @@
 An MDD for (start, goal, C) is a layered graph whose layer t holds exactly the
 cells reachable from the start within t steps and from the goal within C - t
 steps; every start-to-goal path of cost exactly C (waits included) threads
-through it. Both endpoints' distance fields give each cell its interval of
-layers, from which :func:`mdd_counts` sums the exact sizes that feed the
-empirical conflict-tree checks; :func:`build_mdd` materializes the layers
-where they are shown. The closed forms bound the sizes on open 4-connected
-grids.
+through it. Both endpoints' BFS distance lists give each cell its interval
+of layers, and :func:`mdd_counts` sums the exact sizes that feed the
+empirical conflict-tree checks from them in one pass over ``GridMap.steps``;
+:func:`build_mdd` fills the layers from the same lists where they are shown.
+The closed forms bound the sizes on open 4-connected grids.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .model import Cell, GridMap, _bfs, _field_array
+from .model import Cell, GridMap, _bfs
 
 
 @dataclass(frozen=True)
@@ -43,16 +41,16 @@ class MddSizeBound:
             raise ValueError("bound value must be nonnegative")
 
 
-def _layer_intervals(
+def _distance_lists(
     grid: GridMap, start: Cell, goal: Cell, cost: int, fields=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's MDD layers, as int64 arrays (lo, hi) of shape (h, w).
+) -> tuple[list[int], list[int]]:
+    """The start's and goal's BFS distance lists, indexed by ``GridMap.index``.
 
-    Cell v is in layer t exactly when d_s(v) <= t <= C - d_g(v), so
-    lo = d_s and hi = C - d_g; cells the start cannot reach get the empty
-    interval [C + 1, -1]. ``fields`` holds the start's and goal's BFS
-    distance lists when the caller has them. Raises ValueError on a blocked
-    start or goal, an unreachable goal, or a cost below the shortest distance.
+    Cell v is in MDD layer t exactly when d_s(v) <= t <= C - d_g(v); start
+    and goal share a component, so the cells the start cannot reach, with
+    d_s = d_g = -1, are in none. ``fields`` holds the two lists when the
+    caller has them. Raises ValueError on a blocked start or goal, an
+    unreachable goal, or a cost below the shortest distance.
     """
     for which, cell in (("start", start), ("goal", goal)):
         if not grid.is_passable(cell):
@@ -63,26 +61,21 @@ def _layer_intervals(
         raise ValueError(f"unreachable goal {goal} from {start}")
     if cost < shortest:
         raise ValueError(f"infeasible cost {cost} < shortest distance {shortest}")
-    d_start, d_goal = _field_array(grid, d_start), _field_array(grid, d_goal)
-    # start and goal share a component, so d_start and d_goal are -1 together
-    reach = d_start >= 0
-    lo = np.where(reach, d_start, cost + 1).astype(np.int64)
-    hi = np.where(reach, cost - d_goal.astype(np.int64), -1)
-    return lo, hi
+    return d_start, d_goal
 
 
 def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
     """Construct the exact MDD; wait moves appear as self-edges."""
-    lo, hi = _layer_intervals(grid, start, goal, cost)
-    ys, xs = np.nonzero(lo <= hi)
+    d_start, d_goal = _distance_lists(grid, start, goal, cost)
     members: list[list[Cell]] = [[] for _ in range(cost + 1)]
     shared: dict[int, Cell] = {}  # layers and edges hold one tuple per cell
-    for x, y, a, b in zip(
-        xs.tolist(), ys.tolist(), lo[ys, xs].tolist(), hi[ys, xs].tolist()
-    ):
-        cell = shared[grid.index((x, y))] = (x, y)
-        for t in range(a, b + 1):
-            members[t].append(cell)
+    for cell in grid.cells():
+        u = grid.index(cell)
+        first, last = d_start[u], cost - d_goal[u]
+        if 0 <= first <= last:
+            shared[u] = cell
+            for t in range(first, last + 1):
+                members[t].append(cell)
     layers = tuple(frozenset(cells) for cells in members)
 
     steps = grid.steps
@@ -101,28 +94,29 @@ def mdd_counts(grid: GridMap, start: Cell, goal: Cell, cost: int) -> tuple[int, 
     """Exact (node count, edge count) of the MDD, without building it.
 
     Equal to ``mdd_size(build_mdd(grid, start, goal, cost))`` and raises the
-    same errors. With each cell's layer interval [lo, hi]: a cell is a node
-    in hi - lo + 1 layers and waits in hi - lo of them; a move u -> v leaves
-    u at every t in [max(lo_u, lo_v - 1), min(hi_u, hi_v - 1)].
+    same errors. A cell u is a node in C + 1 - d_s(u) - d_g(u) layers. A
+    step u -> v, v = u for a wait, leaves u at every t in
+    [max(d_s(u), d_s(v) - 1), min(C - d_g(u), C - 1 - d_g(v))]; on a grid
+    d_s(v) <= d_s(u) + 1 and d_g(v) >= d_g(u) - 1, so that window is
+    [d_s(u), C - 1 - d_g(v)], an edge in C - d_s(u) - d_g(v) layers. Each
+    count adds only where it is positive.
     """
     return _field_counts(grid, start, goal, cost)
 
 
 def _field_counts(grid, start, goal, cost, fields=None) -> tuple[int, int]:
     """:func:`mdd_counts`, taking the two BFS distance lists when given."""
-    lo, hi = _layer_intervals(grid, start, goal, cost, fields)
-    nodes = int(np.maximum(hi - lo + 1, 0).sum())
-    edges = int(np.maximum(hi - lo, 0).sum())
-    # each adjacent pair, left-right then up-down, in both directions
-    for a, b in (
-        (np.s_[:, :-1], np.s_[:, 1:]),
-        (np.s_[:, 1:], np.s_[:, :-1]),
-        (np.s_[:-1, :], np.s_[1:, :]),
-        (np.s_[1:, :], np.s_[:-1, :]),
-    ):
-        first = np.maximum(lo[a], lo[b] - 1)
-        last = np.minimum(hi[a], hi[b] - 1)
-        edges += int(np.maximum(last - first + 1, 0).sum())
+    d_start, d_goal = _distance_lists(grid, start, goal, cost, fields)
+    nodes = edges = 0
+    for ds, dg, near in zip(d_start, d_goal, grid.steps):
+        top = cost - ds
+        if ds < 0 or top < dg:
+            continue
+        nodes += top + 1 - dg
+        for v in near:
+            b = top - d_goal[v]
+            if b > 0:
+                edges += b
     return nodes, edges
 
 

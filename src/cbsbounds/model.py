@@ -284,25 +284,23 @@ def _bfs(grid: GridMap, source: Cell) -> list[int]:
     return dist
 
 
-def _field_array(grid: GridMap, dist: list[int]) -> np.ndarray:
-    """A list indexed by :meth:`GridMap.index` as an int32 (h, w) array."""
-    columns = np.array(dist, dtype=np.int32).reshape(grid.width, grid.height + 1)
-    return np.ascontiguousarray(columns[:, :-1].T)
-
-
 def distance_field(grid: GridMap, source: Cell) -> np.ndarray:
     """BFS distances from ``source`` to every cell; -1 marks unreachable."""
     if not grid.is_passable(source):
         raise ValueError(f"source {source} is blocked or out of bounds")
-    return _field_array(grid, _bfs(grid, source))
+    columns = np.array(_bfs(grid, source), dtype=np.int32)
+    columns = columns.reshape(grid.width, grid.height + 1)
+    return np.ascontiguousarray(columns[:, :-1].T)
 
 
 def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:
     """Exact unweighted shortest-path length, or None if unreachable."""
     if not grid.is_passable(b):
         raise ValueError(f"target {b} is blocked or out of bounds")
-    d = distance_field(grid, a)[b[1], b[0]]
-    return None if d < 0 else int(d)
+    if not grid.is_passable(a):
+        raise ValueError(f"source {a} is blocked or out of bounds")
+    d = _bfs(grid, a)[grid.index(b)]
+    return None if d < 0 else d
 
 
 # Words in each of a source block's two (cells + padding, words) bitset

@@ -91,6 +91,18 @@ def mdd_layer_oracle(grid, start, goal, cost):
     return layers
 
 
+def mdd_size_oracle(grid, start, goal, cost):
+    """(nodes, edges) of the MDD, counted pair by pair on the oracle's
+    layers: an edge is (u, t) -> (v, t + 1) with v = u or a 4-neighbour."""
+    layers = mdd_layer_oracle(grid, start, goal, cost)
+    edges = 0
+    for here, nxt in zip(layers, layers[1:]):
+        for x, y in here:
+            for dx, dy in ((0, 0),) + MOVES:
+                edges += (x + dx, y + dy) in nxt
+    return sum(len(layer) for layer in layers), edges
+
+
 def naive_recurrence(r, s):
     """Direct memoized recursion on the tight budget recurrence."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * (r + s) + 1000))

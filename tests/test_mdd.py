@@ -16,7 +16,7 @@ from cbsbounds import (
     with_edges_bound,
 )
 from conftest import grid_from_rows, open_grid, random_grid
-from oracles import dijkstra_field, mdd_layer_oracle
+from oracles import dijkstra_field, mdd_layer_oracle, mdd_size_oracle
 
 
 class TestBuildMdd:
@@ -133,8 +133,18 @@ class TestMddCounts:
     def test_equals_built_size_on_random_maps(self):
         for grid, start, goal, d in random_pairs(41, 60):
             for cost in (d, d + 1, d + 2, d + 5):
-                built = mdd_size(build_mdd(grid, start, goal, cost))
-                assert mdd_counts(grid, start, goal, cost) == built
+                counts = mdd_counts(grid, start, goal, cost)
+                assert counts == mdd_size(build_mdd(grid, start, goal, cost))
+                assert counts == mdd_size_oracle(grid, start, goal, cost)
+        # every pair of the solver suite's open 3 x 3 and 4 x 4 maps
+        for grid in (open_grid(3), open_grid(4)):
+            cells = list(grid.cells())
+            for start in cells:
+                for goal in cells:
+                    d = abs(start[0] - goal[0]) + abs(start[1] - goal[1])
+                    for cost in range(d, d + 4):
+                        expected = mdd_size_oracle(grid, start, goal, cost)
+                        assert mdd_counts(grid, start, goal, cost) == expected
 
     def test_layers_match_oracle_up_to_six_above_shortest(self):
         for grid, start, goal, d in random_pairs(43, 25):

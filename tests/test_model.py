@@ -244,6 +244,19 @@ class TestDistances:
         grid = grid_from_rows([".@."])
         assert bfs_distance(grid, (0, 0), (2, 0)) is None
 
+    @pytest.mark.parametrize(
+        "a, b, match",
+        [
+            ((1, 0), (0, 0), r"source \(1, 0\) is blocked"),
+            ((3, 0), (0, 0), r"source \(3, 0\) is blocked"),
+            ((0, 0), (1, 0), r"target \(1, 0\) is blocked"),
+            ((0, 0), (0, -1), r"target \(0, -1\) is blocked"),
+        ],
+    )
+    def test_blocked_or_out_of_bounds_end_raises(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            bfs_distance(grid_from_rows([".@."]), a, b)
+
     def test_triangle_inequality_sampled(self):
         rng = random.Random(19)
         for _ in range(5):
