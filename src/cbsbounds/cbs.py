@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import eq
 from typing import Optional
 
 from .bounds import BoundInputs, bound_rec_genfunc
@@ -111,38 +112,54 @@ def find_conflicts(paths: tuple[Path, ...]) -> list[Conflict]:
     """All vertex and swap conflicts, in time order (vertex first per step).
 
     Agents rest at their terminal cells. An agent in an occupied cell
-    conflicts with the lowest-numbered agent there; swaps follow by pair."""
+    conflicts with the lowest-numbered agent there; swaps follow by pair.
+    Each step is screened on its set of cells: the vertex scan runs only
+    where two agents share a cell, and the swap scan only there or where
+    more cells stay occupied from the step before than one plus the number
+    of waiting agents (a swap keeps both its cells occupied; see README)."""
+    if not all(paths):
+        raise ValueError("every path needs at least one cell")
+    k = len(paths)
+    end = max(len(p) for p in paths)
     out = []
-    before: list[Cell] = []
-    for t in range(max(len(p) for p in paths)):
-        here = [p[t] if t < len(p) else p[-1] for p in paths]
-        occupied: dict[Cell, int] = {}
-        for i, cell in enumerate(here):
-            first = occupied.setdefault(cell, i)
-            if first != i:
-                out.append(Conflict((first, i), "vertex", cell, t))
-        moves: dict[tuple[Cell, Cell], list[int]] = {}
-        for j, move in enumerate(zip(before, here)):
-            if move[0] != move[1]:
-                moves.setdefault(move, []).append(j)
-        for i, (u, v) in enumerate(zip(before, here)):
-            for j in moves.get((v, u), ()):
-                if j > i:
-                    out.append(Conflict((i, j), "edge", (u, v), t))
-        before = here
+    before: tuple[Cell, ...] = ()
+    last: set[Cell] = set()
+    for t, here in enumerate(zip(*[p + p[-1:] * (end - len(p)) for p in paths])):
+        cells = set(here)
+        crowded = len(cells) < k
+        if crowded:
+            occupied: dict[Cell, int] = {}
+            for i, cell in enumerate(here):
+                first = occupied.setdefault(cell, i)
+                if first != i:
+                    out.append(Conflict((first, i), "vertex", cell, t))
+        if crowded or len(cells & last) > sum(map(eq, before, here)) + 1:
+            moves: dict[tuple[Cell, Cell], list[int]] = {}
+            for j, move in enumerate(zip(before, here)):
+                if move[0] != move[1]:
+                    moves.setdefault(move, []).append(j)
+            for i, (u, v) in enumerate(zip(before, here)):
+                for j in moves.get((v, u), ()):
+                    if j > i:
+                        out.append(Conflict((i, j), "edge", (u, v), t))
+        before, last = here, cells
     return out
 
 
-def _constraint_tables(constraints, agent, index):
+def _constraint_tables(constraints, agent, grid):
     """Split a constraint set into the tables the low level consults.
 
-    Returns (neg_vertex, neg_edge, required) over cell ids ``index(cell)``,
-    where required maps t -> the id the agent must occupy. Positive constraints
-    of other agents turn into negative constraints here. Returns None when the
-    positives are contradictory.
+    With S = ``len(grid.steps)``, a state (cell id u, time t) is the int
+    ``t * S + u``. Returns (neg_vertex, neg_edge, required): the forbidden
+    states, the forbidden moves u -> v arriving at t as ``(t * S + v) * S + u``,
+    and required mapping t -> the id the agent must occupy. Positive
+    constraints of other agents turn into negative constraints here. Returns
+    None when the positives are contradictory.
     """
-    neg_v: set[tuple[int, int]] = set()
-    neg_e: set[tuple[int, int, int]] = set()
+    index = grid.index
+    size = len(grid.steps)
+    neg_v: set[int] = set()
+    neg_e: set[int] = set()
     required: dict[int, int] = {}
 
     def require(t: int, u: int) -> bool:
@@ -153,9 +170,9 @@ def _constraint_tables(constraints, agent, index):
         if c.agent == agent:
             if c.sign == "negative":
                 if c.kind == "vertex":
-                    neg_v.add((u, c.t))
+                    neg_v.add(c.t * size + u)
                 else:
-                    neg_e.add((u, v, c.t))
+                    neg_e.add((c.t * size + v) * size + u)
             else:
                 if c.kind == "vertex":
                     if not require(c.t, u):
@@ -166,11 +183,11 @@ def _constraint_tables(constraints, agent, index):
         elif c.sign == "positive":
             # someone else is pinned there; this agent must keep clear
             if c.kind == "vertex":
-                neg_v.add((u, c.t))
+                neg_v.add(c.t * size + u)
             else:
-                neg_v.add((u, c.t - 1))
-                neg_v.add((v, c.t))
-                neg_e.add((v, u, c.t))
+                neg_v.add((c.t - 1) * size + u)
+                neg_v.add(c.t * size + v)
+                neg_e.add((c.t * size + u) * size + v)
     return neg_v, neg_e, required
 
 
@@ -184,56 +201,81 @@ def low_level_search(
     toward higher g, then lower id. The path terminates only once no later
     negative constraint pins the goal cell and every positive constraint
     away from the goal has been consumed.
+
+    A state is the int ``t * S + u`` (S = ``len(steps)``), and a heap entry
+    the int ``(f * (H + 1) + H - t) * S + u`` for H = max(horizon, 0), which
+    sorts like ``(f, -t, u)``. When no constraint binds the agent, the
+    search would pop the states of one descent, so that path is returned
+    directly: from each cell, step to the lowest id one closer to the goal
+    (proof in README).
     """
     grid = instance.map
     start, goal = (grid.index(cell) for cell in instance.agents[agent])
-    tables = _constraint_tables(constraints, agent, grid.index)
+    tables = _constraint_tables(constraints, agent, grid)
     if tables is None:
         return None
     neg_v, neg_e, required = tables
-    if required.get(0, start) != start or (start, 0) in neg_v:
-        return None
-    if any(t > horizon for t in required):
-        return None
     dist = instance.goal_fields[agent]
     if dist[start] < 0:
         return None
+    steps = grid.steps
+    if not (neg_v or neg_e or required):
+        # f = d(start) along every descent, a wait costs f + 1 and a sideways
+        # step f + 2, so A* pops the lowest-id closer child of each state
+        if dist[start] > max(horizon, 0):
+            return None
+        u = start
+        cells = [grid.cell(u)]
+        while dist[u]:
+            u = min(v for v in steps[u] if dist[v] < dist[u])
+            cells.append(grid.cell(u))
+        return tuple(cells)
+    if required.get(0, start) != start or start in neg_v:
+        return None
+    if any(t > horizon for t in required):
+        return None
 
+    size = len(steps)
     floor = max(
-        [t + 1 for u, t in neg_v if u == goal]
+        [s // size + 1 for s in neg_v if s % size == goal]
         + [t for t, u in required.items() if u != goal],
         default=0,
     )
 
     # every id reached shares the start's component: no distance is -1
-    steps = grid.steps
-    open_heap = [(max(dist[start], floor), 0, start)]
-    parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(start, 0): None}
-    closed: set[tuple[int, int]] = set()
+    top = max(horizon, 0)
+    scale = (top + 1) * size
+    open_heap = [max(dist[start], floor) * scale + top * size + start]
+    # parent guards every push, so each state is pushed and popped at most
+    # once; forbidden states count as already reached, so one lookup screens
+    # both
+    parent: dict[int, Optional[int]] = dict.fromkeys(neg_v)
+    parent[start] = -1
     while open_heap:
-        f, neg_t, u = heapq.heappop(open_heap)
-        t = -neg_t
-        if (u, t) in closed:
-            continue
-        closed.add((u, t))
+        key = heapq.heappop(open_heap)
+        u = key % size
+        t = top - key // size % (top + 1)
+        state = t * size + u
         if u == goal and t >= floor:
             waypoints = []
-            state: Optional[tuple[int, int]] = (u, t)
-            while state is not None:
-                waypoints.append(grid.cell(state[0]))
+            while state >= 0:
+                waypoints.append(grid.cell(state % size))
                 state = parent[state]
             return tuple(reversed(waypoints))
-        nt = t + 1
-        if nt > horizon:
+        if t >= horizon:
             continue
+        nt = t + 1
+        base = nt * size
+        rank = top * (nt + 1) * size  # the key of (v, nt) less dist[v] * scale + v
         req = required.get(nt)
         for v in steps[u]:
-            if (v, nt) in parent or (v, nt) in neg_v:
+            s = base + v
+            if s in parent:
                 continue
-            if (v != u and (u, v, nt) in neg_e) or (req is not None and req != v):
+            if (v != u and s * size + u in neg_e) or (req is not None and req != v):
                 continue
-            parent[(v, nt)] = (u, t)
-            heapq.heappush(open_heap, (nt + dist[v], -nt, v))
+            parent[s] = state
+            heapq.heappush(open_heap, dist[v] * scale + rank + v)
     return None
 
 

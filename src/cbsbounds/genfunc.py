@@ -98,14 +98,23 @@ class BivariateSeries:
         return self.coefficients[r][s]
 
 
+_SERIES_MAX_CELLS = 10**6
+
+
 def expand_series(r_max: int, s_max: int) -> BivariateSeries:
-    """Exact power-series coefficients of G / H up to the caps.
+    """Exact power-series coefficients of G / H up to the caps; refuses
+    tables of more than 10**6 cells.
 
     H has constant term 1, so its formal inverse exists and the coefficients
     follow from the convolution identity H * (G / H) = G.
     """
     if r_max < 0 or s_max < 0:
         raise ValueError("caps must be nonnegative")
+    cells = (r_max + 1) * (s_max + 1)
+    if cells > _SERIES_MAX_CELLS:
+        raise ValueError(
+            f"series table of {cells} cells exceeds the {_SERIES_MAX_CELLS}-cell limit"
+        )
     h_rest = [(a, b, c) for (a, b), c in H_COEFFS.items() if (a, b) != (0, 0)]
     table: list[list[int]] = [[0] * (s_max + 1) for _ in range(r_max + 1)]
     for r in range(r_max + 1):

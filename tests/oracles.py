@@ -265,6 +265,34 @@ def space_time_bfs_cost(grid, start, goal, neg_vertex, neg_edge, horizon):
     return None
 
 
+def smallest_cell_descent(grid, start, goal):
+    """The path that steps from start to goal, at each step to the smallest
+    neighbouring cell one closer to the goal, by a breadth-first search of
+    its own from the goal; None when the goal is unreachable."""
+    dist = {goal: 0}
+    queue = deque([goal])
+    while queue:
+        x, y = queue.popleft()
+        for dx, dy in MOVES:
+            nxt = (x + dx, y + dy)
+            if nxt not in dist and grid.is_passable(nxt):
+                dist[nxt] = dist[(x, y)] + 1
+                queue.append(nxt)
+    if start not in dist:
+        return None
+    path = [start]
+    while path[-1] != goal:
+        x, y = path[-1]
+        path.append(
+            min(
+                (x + dx, y + dy)
+                for dx, dy in MOVES
+                if dist.get((x + dx, y + dy)) == dist[(x, y)] - 1
+            )
+        )
+    return tuple(path)
+
+
 def brute_force_conflicts(paths):
     """Every conflict as (agents, kind, loc, t), by scanning every timestep
     and every pair of agents; an agent rests at its last cell.

@@ -28,6 +28,7 @@ from oracles import (
     brute_force_conflicts,
     dijkstra_field,
     joint_bfs_makespan,
+    smallest_cell_descent,
     space_time_bfs_cost,
 )
 
@@ -92,12 +93,59 @@ class TestLowLevel:
                 constraints = frozenset(
                     Constraint(0, "vertex", "negative", cell, t) for cell, t in neg_v
                 )
-                path = low_level_search(instance, 0, constraints, horizon=30)
                 oracle = space_time_bfs_cost(grid, (0, 0), goal, neg_v, set(), 30)
-                if oracle is None:
-                    assert path is None
-                else:
-                    assert path is not None and path_cost(path) == oracle
+                # at the oracle's cost the goal is reached at t = horizon
+                tight = () if oracle is None else (oracle, oracle - 1)
+                for horizon in (30, *tight):
+                    path = low_level_search(instance, 0, constraints, horizon)
+                    cost = space_time_bfs_cost(grid, (0, 0), goal, neg_v, set(), horizon)
+                    if cost is None:
+                        assert path is None
+                    else:
+                        assert path is not None and path_cost(path) == cost
+
+    def test_unbound_search_is_smallest_cell_descent(self):
+        # with no constraint on the agent, the search returns the descent
+        # that always steps to the smallest cell one closer to the goal
+        rng = random.Random(53)
+        descents = unreachable = 0
+        while descents < 60:
+            side = rng.randint(2, 9)
+            blocked = rng.choice((0.0, 0.1, 0.2, 0.3))
+            mask = np.array(
+                [[rng.random() >= blocked for _ in range(side)] for _ in range(side)],
+                dtype=bool,
+            )
+            cells = [(x, y) for y in range(side) for x in range(side) if mask[y, x]]
+            if len(cells) < 2:
+                continue
+            grid = GridMap(side, side, mask)
+            (start, other), (goal, other_goal) = rng.sample(cells, 2), rng.sample(cells, 2)
+            instance = Instance(grid, ((start, goal), (other, other_goal)))
+            near = next(
+                (goal[0] + dx, goal[1] + dy)
+                for dx, dy in MOVES
+                if grid.in_bounds((goal[0] + dx, goal[1] + dy))
+            )
+            others = frozenset(
+                {
+                    Constraint(1, "vertex", "negative", goal, 1),
+                    Constraint(1, "vertex", "negative", start, 0),
+                    Constraint(1, "edge", "negative", (near, goal), 2),
+                }
+            )
+            expected = smallest_cell_descent(grid, start, goal)
+            for constraints in (frozenset(), others):
+                assert low_level_search(instance, 0, constraints, 4 * side * side) == expected
+            if expected is None:
+                unreachable += 1
+                continue
+            descents += 1
+            cost = path_cost(expected)
+            assert low_level_search(instance, 0, frozenset(), cost) == expected
+            if cost:
+                assert low_level_search(instance, 0, frozenset(), cost - 1) is None
+        assert unreachable > 0
 
     def test_goal_constraint_delays_termination(self):
         grid = open_grid(3)
@@ -304,10 +352,15 @@ class TestFindConflicts:
         assert brute_force_conflicts(paths) == expected
         assert conflict_rows(paths) == expected
 
+    def test_empty_path_is_refused(self):
+        # padding an empty path would hide every conflict of the others
+        with pytest.raises(ValueError, match="at least one cell"):
+            find_conflicts((((0, 0), (1, 0)), ((1, 0), (0, 0)), ()))
+
     def test_matches_brute_force_on_random_path_sets(self):
         # on 2 x 2 and 3 x 3 squares, crowds and shared moves are common
         rng = random.Random(47)
-        crowded = same_move = uneven = 0
+        crowded = same_move = uneven = swap_beside_wait = 0
         for _ in range(400):
             side = rng.choice((2, 3))
             paths = tuple(
@@ -322,7 +375,12 @@ class TestFindConflicts:
             # three agents on one cell, and two agents swapping with a third
             crowded += len(vertex) > len(set(vertex))
             same_move += len(swaps) > len(set(swaps))
-        assert crowded and same_move and uneven
+            # a swap beside a waiting agent and no shared cell: only the
+            # swap screen lets the step through, and the wait is in its count
+            for t in {t for _, t in swaps} - {t for _, t in vertex}:
+                at = [(p[min(t - 1, len(p) - 1)], p[min(t, len(p) - 1)]) for p in paths]
+                swap_beside_wait += any(u == v for u, v in at)
+        assert crowded and same_move and uneven and swap_beside_wait
 
 
 class TestValidate:

@@ -155,6 +155,12 @@ class TestGenfuncCommand:
         assert table[(1, 1)] == 3
         assert table[(2, 1)] == 5
 
+    def test_series_over_the_cell_limit_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "genfunc", "--series", "1000", "1000")
+        assert code == 1
+        assert out == ""
+        assert "cell limit" in err
+
 
 class TestTableCommand:
     def test_csv_round_trip(self, capsys, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import warnings
 
 import pytest
@@ -47,6 +48,14 @@ class TestSeries:
     def test_rejects_negative_caps(self):
         with pytest.raises(ValueError):
             expand_series(-1, 2)
+
+    def test_cell_limit_refuses_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="1000000-cell limit"):
+            expand_series(10**6, 10**6)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(ValueError, match="1000000-cell limit"):
+            expand_series(10**6, 0)  # one cell over
 
 
 class TestPartials:
