@@ -49,11 +49,12 @@ def _parse_cell(text: str) -> Cell:
 def cmd_mdd(args) -> int:
     with open(args.map, encoding="utf-8") as fh:
         grid = parse_map(fh.read())
-    diagram = mdd.build_mdd(grid, _parse_cell(args.start), _parse_cell(args.goal), args.c)
+    start, goal = _parse_cell(args.start), _parse_cell(args.goal)
+    widths = mdd.mdd_widths(grid, start, goal, args.c)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["t", "exact", "eq1_bound"])
-    for t, layer in enumerate(diagram.layers):
-        writer.writerow([t, len(layer), mdd.layer_bound(min(t, args.c - t))])
+    for t, width in enumerate(widths):
+        writer.writerow([t, width, mdd.layer_bound(min(t, args.c - t))])
     return 0
 
 

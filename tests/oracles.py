@@ -91,6 +91,28 @@ def mdd_layer_oracle(grid, start, goal, cost):
     return layers
 
 
+def mdd_edge_oracle(grid, start, goal, cost):
+    """Per-layer successor dicts: (u, t) -> (v, t + 1) for every v in layer
+    t + 1 among u itself (the wait, first) and u's four neighbours in MOVES
+    order, tested cell by cell against the two Dijkstra fields."""
+    from_start = dijkstra_field(grid, start)
+    from_goal = dijkstra_field(grid, goal)
+
+    def in_layer(cell, t):
+        return from_start.get(cell, 1 << 60) <= t <= cost - from_goal.get(cell, 1 << 60)
+
+    edges = []
+    for t in range(cost):
+        adj = {}
+        for cell in from_start:
+            if in_layer(cell, t):
+                x, y = cell
+                steps = [cell] + [(x + dx, y + dy) for dx, dy in MOVES]
+                adj[cell] = tuple(v for v in steps if in_layer(v, t + 1))
+        edges.append(adj)
+    return edges
+
+
 def mdd_size_oracle(grid, start, goal, cost):
     """(nodes, edges) of the MDD, counted pair by pair on the oracle's
     layers: an edge is (u, t) -> (v, t + 1) with v = u or a 4-neighbour."""

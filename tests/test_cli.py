@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import time
 
 import pytest
 
-from cbsbounds import bound_original, BoundInputs, eval_exact, eval_log
+from cbsbounds import bound_original, BoundInputs, eval_exact, eval_log, serialize_map
 from cbsbounds.cli import _fmt, main
+from conftest import random_grid
+from oracles import dijkstra_field, mdd_layer_oracle
 
 MAP_TEXT = "type octile\nheight 2\nwidth 5\nmap\n.....\n@@.@@\n"
 SCEN_TEXT = (
@@ -122,6 +126,48 @@ class TestMddCommand:
         assert lines[1] == "0,1,0"
         assert lines[2] == "1,5,4"
         assert lines[3] == "2,1,0"
+
+    def test_csv_matches_layer_oracle(self, capsys, tmp_path):
+        rng = random.Random(67)
+        map_path = tmp_path / "random.map"
+        checked = 0
+        while checked < 30:
+            grid = random_grid(rng, rng.randint(1, 9), rng.randint(1, 9))
+            cells = list(grid.cells())
+            start, goal = rng.choice(cells), rng.choice(cells)
+            d = dijkstra_field(grid, start).get(goal)
+            if d is None:
+                continue
+            map_path.write_text(serialize_map(grid))
+            for cost in (d, d + 3):
+                code, out, _ = run_cli(
+                    capsys,
+                    "mdd", "--map", str(map_path), "--start", "%d,%d" % start,
+                    "--goal", "%d,%d" % goal, "--c", str(cost),
+                )
+                assert code == 0
+                layers = mdd_layer_oracle(grid, start, goal, cost)
+                rows = [
+                    f"{t},{w},{2 * m * (m + 1)}"
+                    for t, w in enumerate(map(len, layers))
+                    for m in [min(t, cost - t)]
+                ]
+                assert out.splitlines() == ["t,exact,eq1_bound"] + rows
+            checked += 1
+
+    def test_huge_cost_exit_1_fast(self, capsys, tmp_path):
+        map_path = tmp_path / "open.map"
+        map_path.write_text("type octile\nheight 3\nwidth 3\nmap\n" + "...\n" * 3)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "mdd", "--map", str(map_path),
+            "--start", "0,0", "--goal", "2,2", "--c", "1000000000",
+        )
+        assert time.perf_counter() - start < 0.2
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "node limit" in err
 
 
 class TestGenfuncCommand:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,8 +16,10 @@ from cbsbounds import (
     radius_size_bound,
     with_edges_bound,
 )
+from cbsbounds import mdd as mdd_module
+from cbsbounds.mdd import mdd_widths
 from conftest import grid_from_rows, open_grid, random_grid
-from oracles import dijkstra_field, mdd_layer_oracle, mdd_size_oracle
+from oracles import dijkstra_field, mdd_edge_oracle, mdd_layer_oracle, mdd_size_oracle
 
 
 class TestBuildMdd:
@@ -113,6 +116,17 @@ class TestBuildMdd:
         with pytest.raises(ValueError, match="unreachable"):
             build_mdd(grid, (0, 0), (2, 0), 5)
 
+    def test_edges_match_oracle(self):
+        cases = oracle_cases(47)
+        assert any(grid.n < grid.width * grid.height for grid, *_ in cases)
+        for grid, start, goal, d in cases:
+            for cost in (d, d + 1, d + 2, d + 5):
+                diagram = build_mdd(grid, start, goal, cost)
+                oracle = mdd_edge_oracle(grid, start, goal, cost)
+                # dict equality leaves key order out, tuple equality keeps
+                # successor order: the wait first, then MOVES order
+                assert list(diagram.edges) == oracle
+
 
 def random_pairs(seed, count):
     """Seeded (grid, start, goal, d) draws with the goal reachable at
@@ -126,6 +140,20 @@ def random_pairs(seed, count):
         d = dijkstra_field(grid, start).get(goal)
         if d is not None:
             out.append((grid, start, goal, d))
+    return out
+
+
+def oracle_cases(seed):
+    """Seeded (grid, start, goal, d): the random maps of :func:`random_pairs`,
+    each also with start = goal, and 1 x n and n x 1 corridors."""
+    out = []
+    for grid, start, goal, d in random_pairs(seed, 40):
+        out += [(grid, start, goal, d), (grid, goal, goal, 0)]
+    rng = random.Random(seed)
+    for length in (1, 2, 3, 6, 10):
+        for grid in (open_grid(length, 1), open_grid(1, length)):
+            start, goal = rng.choice(list(grid.cells())), rng.choice(list(grid.cells()))
+            out.append((grid, start, goal, dijkstra_field(grid, start)[goal]))
     return out
 
 
@@ -152,6 +180,12 @@ class TestMddCounts:
                 diagram = build_mdd(grid, start, goal, cost)
                 oracle = mdd_layer_oracle(grid, start, goal, cost)
                 assert [set(layer) for layer in diagram.layers] == oracle
+
+    def test_widths_match_layer_oracle(self):
+        for grid, start, goal, d in oracle_cases(59):
+            for cost in (d, d + 1, d + 4):
+                oracle = mdd_layer_oracle(grid, start, goal, cost)
+                assert mdd_widths(grid, start, goal, cost) == [len(x) for x in oracle]
 
     def test_open_grid_values(self, open5):
         assert mdd_counts(open5, (2, 2), (2, 2), 0) == (1, 0)
@@ -181,11 +215,38 @@ class TestMddCounts:
     def test_same_errors_as_build(self, rows, start, goal, cost, match):
         grid = grid_from_rows(rows)
         messages = []
-        for fn in (build_mdd, mdd_counts):
+        for fn in (build_mdd, mdd_counts, mdd_widths):
             with pytest.raises(ValueError, match=match) as caught:
                 fn(grid, start, goal, cost)
             messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
+
+
+class TestNodeLimit:
+    def test_huge_cost_is_refused_fast(self):
+        grid = open_grid(3)
+        start = time.perf_counter()
+        for fn in (build_mdd, mdd_widths):
+            with pytest.raises(ValueError, match="500000-node limit"):
+                fn(grid, (0, 0), (2, 2), 10**9)
+        assert time.perf_counter() - start < 0.1
+
+    def test_counts_have_no_limit(self):
+        # 9 cells in about 10^9 layers each, counted in O(n)
+        nodes, _ = mdd_counts(open_grid(3), (0, 0), (2, 2), 10**9)
+        assert nodes > 9 * (10**9 - 4)
+
+    def test_limit_is_exact(self, monkeypatch):
+        cell = open_grid(1)
+        # one cell in every layer: C + 1 nodes
+        assert mdd_widths(cell, (0, 0), (0, 0), 499_999) == [1] * 500_000
+        with pytest.raises(ValueError, match="MDD of 500001 nodes"):
+            mdd_widths(cell, (0, 0), (0, 0), 500_000)
+        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 7)
+        grid = open_grid(5)
+        assert mdd_size(build_mdd(grid, (2, 2), (2, 2), 2))[0] == 7
+        with pytest.raises(ValueError, match="MDD of 12 nodes exceeds the 7-node"):
+            build_mdd(grid, (2, 2), (2, 2), 3)
 
 
 class TestSizeBounds:
