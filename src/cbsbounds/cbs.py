@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import eq
+from itertools import compress, count
+from operator import eq, ne
 from typing import Optional
 
 from .bounds import BoundInputs, bound_rec_genfunc
@@ -75,7 +76,11 @@ class Conflict:
 
 @dataclass
 class CtNode:
-    """One constraint-tree node: constraints, paths, cost, pending conflict."""
+    """One constraint-tree node: constraints, paths, cost, pending conflict.
+
+    ``by_step`` maps each step that has conflicts to them, as :func:`_scan`
+    finds them, so that a child rescans only the steps its replans changed.
+    """
 
     constraints: frozenset[Constraint]
     paths: tuple[Path, ...]
@@ -83,6 +88,7 @@ class CtNode:
     conflict: Optional[Conflict]
     n_conflicts: int
     depth: int
+    by_step: dict[int, list[Conflict]]
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,8 @@ class SolveStats:
     positive_applied: int
     optimal_cost: int
     expansion_costs: tuple[int, ...]
+    low_level_calls: int = 0
+    conflict_steps_scanned: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,20 +121,37 @@ def find_conflicts(paths: tuple[Path, ...]) -> list[Conflict]:
 
     Agents rest at their terminal cells. An agent in an occupied cell
     conflicts with the lowest-numbered agent there; swaps follow by pair.
-    Each step is screened on its set of cells: the vertex scan runs only
-    where two agents share a cell, and the swap scan only there or where
-    more cells stay occupied from the step before than one plus the number
-    of waiting agents (a swap keeps both its cells occupied; see README)."""
+    This is :func:`_scan` over every step up to the last path's end."""
     if not all(paths):
         raise ValueError("every path needs at least one cell")
+    by_step = _scan(paths, range(max(len(p) for p in paths)))
+    return [c for step in by_step.values() for c in step]
+
+
+def _scan(paths: tuple[Path, ...], steps) -> dict[int, list[Conflict]]:
+    """The conflicts at each step of ``steps`` (ascending, each below the
+    last path's end) that has any.
+
+    A step's conflicts depend only on the agents' cells at that step and
+    the one before. Each step is screened on its set of cells: the vertex
+    scan runs only where two agents share a cell, and the swap scan only
+    there or where more cells stay occupied from the step before than one
+    plus the number of waiting agents (a swap keeps both its cells
+    occupied; see README)."""
     k = len(paths)
     end = max(len(p) for p in paths)
-    out = []
-    before: tuple[Cell, ...] = ()
+    columns = list(zip(*[p + p[-1:] * (end - len(p)) for p in paths]))
+    found: dict[int, list[Conflict]] = {}
+    held = -2  # the step whose cells `last` holds
     last: set[Cell] = set()
-    for t, here in enumerate(zip(*[p + p[-1:] * (end - len(p)) for p in paths])):
+    for t in steps:
+        before = columns[t - 1] if t else ()
+        if t != held + 1:
+            last = set(before)
+        here = columns[t]
         cells = set(here)
         crowded = len(cells) < k
+        out = []
         if crowded:
             occupied: dict[Cell, int] = {}
             for i, cell in enumerate(here):
@@ -142,8 +167,10 @@ def find_conflicts(paths: tuple[Path, ...]) -> list[Conflict]:
                 for j in moves.get((v, u), ()):
                     if j > i:
                         out.append(Conflict((i, j), "edge", (u, v), t))
-        before, last = here, cells
-    return out
+        if out:
+            found[t] = out
+        last, held = cells, t
+    return found
 
 
 def _constraint_tables(constraints, agent, grid):
@@ -298,6 +325,15 @@ def _violates(path: Path, agent: int, c: Constraint) -> bool:
     return hit if c.sign == "negative" else not hit
 
 
+def _moved_steps(old: Path, new: Path) -> list[int]:
+    """The steps at which two paths of one agent, each resting at its final
+    cell, hold the agent in different cells."""
+    end = max(len(old), len(new))
+    old = old + old[-1:] * (end - len(old))
+    new = new + new[-1:] * (end - len(new))
+    return list(compress(count(), map(ne, old, new)))
+
+
 def _branches(conflict: Conflict, splitting: str) -> list[Constraint]:
     i, j = conflict.agents
     if conflict.kind == "vertex":
@@ -329,24 +365,34 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
         raise UnsolvableError(f"agent {dists.index(-1)} cannot reach its goal")
     horizon = grid.n + k * max(dists)
 
-    def make_node(constraints, paths, depth) -> CtNode:
-        conflicts = find_conflicts(paths)
+    calls = scanned = 0
+
+    def search(agent, constraints):
+        nonlocal calls
+        calls += 1
+        return low_level_search(instance, agent, constraints, horizon)
+
+    def make_node(constraints, paths, depth, kept, steps) -> CtNode:
+        # kept holds the conflicts of every step below the paths' end that
+        # is not in steps
+        nonlocal scanned
+        scanned += len(steps)
+        by_step = {**kept, **_scan(paths, steps)}
         return CtNode(
             constraints,
             paths,
             max(path_cost(p) for p in paths),
-            conflicts[0] if conflicts else None,
-            len(conflicts),
+            by_step[min(by_step)][0] if by_step else None,
+            sum(map(len, by_step.values())),
             depth,
+            by_step,
         )
 
-    root_paths = tuple(
-        low_level_search(instance, i, frozenset(), horizon) for i in range(k)
-    )
+    root_paths = tuple(search(i, frozenset()) for i in range(k))
     for i, p in enumerate(root_paths):
         if p is None:
             raise UnsolvableError(f"agent {i} has no path within horizon {horizon}")
-    root = make_node(frozenset(), root_paths, 0)
+    root = make_node(frozenset(), root_paths, 0, {}, range(max(map(len, root_paths))))
 
     seq = 0
     open_heap = [(root.cost, root.n_conflicts, seq, root)]
@@ -367,28 +413,48 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
                 positive_applied,
                 node.cost,
                 tuple(expansion_costs),
+                calls,
+                scanned,
             )
             return node.paths, stats
         # Every path of a node satisfies every constraint of that node: the
         # low level honours them all, and `replan` holds each agent whose
-        # path `_violates` the new one. Each branch is broken by a path of
-        # this node (a negative one by its own agent's path, a positive one
-        # by the other agent's), so no branch is already a node constraint.
+        # path can break the new one. A negative constraint binds only its
+        # own agent, whose path made the conflict. A positive one on agent i
+        # is met by i's path, which made the conflict, and that path stays
+        # optimal under more constraints, so only the other agents whose
+        # paths `_violates` it are replanned (proofs in README). Each branch
+        # is broken by a path of this node (a negative one by its own
+        # agent's path, a positive one by the other agent's), so no branch is
+        # already a node constraint.
         for constraint in _branches(node.conflict, splitting):
             constraints = node.constraints | {constraint}
             paths = list(node.paths)
-            replan = [constraint.agent] + [
-                a
-                for a in range(k)
-                if a != constraint.agent and _violates(paths[a], a, constraint)
-            ]
+            if constraint.sign == "negative":
+                replan = [constraint.agent]
+            else:
+                replan = [
+                    a
+                    for a in range(k)
+                    if a != constraint.agent and _violates(paths[a], a, constraint)
+                ]
             for agent in replan:
-                paths[agent] = low_level_search(instance, agent, constraints, horizon)
+                paths[agent] = search(agent, constraints)
                 if paths[agent] is None:
                     break
             if None in paths:
                 continue
-            child = make_node(constraints, tuple(paths), node.depth + 1)
+            # a step keeps the parent's conflicts unless a replanned agent's
+            # cell changed at it or at the step before, or it lies past the
+            # parent's last step (proof in README)
+            end = max(map(len, paths))
+            stale = set(range(node.cost + 1, end))
+            for agent in replan:
+                moved = _moved_steps(node.paths[agent], paths[agent])
+                stale.update(moved, [t + 1 for t in moved])
+            kept = {t: c for t, c in node.by_step.items() if t < end and t not in stale}
+            steps = sorted(t for t in stale if t < end)
+            child = make_node(constraints, tuple(paths), node.depth + 1, kept, steps)
             seq += 1
             heapq.heappush(open_heap, (child.cost, child.n_conflicts, seq, child))
             generated += 1

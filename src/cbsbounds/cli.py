@@ -217,6 +217,8 @@ def cmd_solve(args) -> int:
             "max_depth": stats.max_depth,
             "negative_applied": stats.negative_applied,
             "positive_applied": stats.positive_applied,
+            "low_level_calls": stats.low_level_calls,
+            "conflict_steps_scanned": stats.conflict_steps_scanned,
             "paths": [[list(cell) for cell in path] for path in paths],
             "bound_margins_log2": {
                 name: round(margin, 6) for name, margin in report.margins.items()

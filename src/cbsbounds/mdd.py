@@ -8,8 +8,8 @@ of layers, and :func:`mdd_counts` sums the exact sizes that feed the
 empirical conflict-tree checks from them in one pass over ``GridMap.steps``.
 :func:`mdd_widths` counts each layer's nodes from the same lists, and
 :func:`build_mdd` fills the layers from them where they are walked, giving
-each cell at most three successor tuples. Both refuse an MDD of more than a
-fixed number of nodes, which they count first. The closed forms bound the
+each cell at most three successor tuples. Both refuse an MDD whose nodes
+plus layers exceed a fixed limit, which they count first. The closed forms bound the
 sizes on open 4-connected grids.
 """
 
@@ -22,10 +22,11 @@ from itertools import accumulate
 
 from .model import Cell, GridMap, _bfs
 
-# Most nodes build_mdd and mdd_widths accept. A process that builds one MDD
-# of 500,000 nodes peaks at about 80 MiB RSS on an open 100 x 100 map, and
-# at about 340 MiB on a one-cell map, where each layer has its own frozenset
-# and dict.
+# Most nodes plus layers build_mdd and mdd_widths accept. Each layer has a
+# frozenset and a dict of its own, so it is counted like a node. A process
+# that builds an MDD at the limit peaks at about 90 MiB RSS on an open
+# 100 x 100 map (corner to corner at C = 246: 490,000 nodes in 247 layers)
+# and at about 195 MiB on a one-cell map (250,000 nodes in as many layers).
 _MDD_MAX_NODES = 5 * 10**5
 
 
@@ -77,16 +78,18 @@ def _distance_lists(
 def _sized_lists(
     grid: GridMap, start: Cell, goal: Cell, cost: int
 ) -> tuple[list[int], list[int]]:
-    """:func:`_distance_lists`, refused when the MDD has more than
-    ``_MDD_MAX_NODES`` nodes. Every layer holds a cell, so the count is at least
-    C + 1 and a huge cost is refused before anything of its size exists."""
+    """:func:`_distance_lists`, refused when the MDD's nodes plus its C + 1
+    layers exceed ``_MDD_MAX_NODES``, so the limit bounds memory whatever the
+    map's shape. The count is at least 2(C + 1), and a huge cost is refused
+    before anything of its size exists."""
     d_start, d_goal = _distance_lists(grid, start, goal, cost)
     nodes = sum(
         cost + 1 - ds - dg for ds, dg in zip(d_start, d_goal) if 0 <= ds <= cost - dg
     )
-    if nodes > _MDD_MAX_NODES:
+    if nodes + cost + 1 > _MDD_MAX_NODES:
         raise ValueError(
-            f"MDD of {nodes} nodes exceeds the {_MDD_MAX_NODES}-node limit"
+            f"MDD of {nodes} nodes in {cost + 1} layers exceeds the "
+            f"{_MDD_MAX_NODES}-node limit, which counts each layer as a node"
         )
     return d_start, d_goal
 
@@ -102,8 +105,8 @@ def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
     distance and the third tuple is the second without its leading wait.
     Each layer's dict gets every node's first tuple, then the cells of the
     two goal-distance shells are overwritten in place. Raises ValueError,
-    before any layer is allocated, on an MDD of more than a fixed number
-    of nodes.
+    before any layer is allocated, on an MDD whose nodes plus layers exceed
+    a fixed limit.
     """
     d_start, d_goal = _sized_lists(grid, start, goal, cost)
     members: list[list[Cell]] = [[] for _ in range(cost + 1)]
@@ -171,7 +174,7 @@ def _field_counts(grid, start, goal, cost, fields=None) -> tuple[int, int]:
 def mdd_widths(grid: GridMap, start: Cell, goal: Cell, cost: int) -> list[int]:
     """Each layer's node count, ``[len(x) for x in build_mdd(...).layers]``,
     without building it: cell u adds one to layers d_s(u) .. C - d_g(u),
-    summed as a difference list. Same errors and node limit as
+    summed as a difference list. Same errors and size limit as
     :func:`build_mdd`."""
     d_start, d_goal = _sized_lists(grid, start, goal, cost)
     diff = [0] * (cost + 2)
@@ -224,11 +227,16 @@ def radius_size_bound(radius: int, delta: int, n: int) -> MddSizeBound:
     """Radius-refined bound delta*n + (4/3) r (r+1) (r+2) for C = 2r + delta.
 
     Evaluated in exact rationals and rounded up: a bound must never
-    under-report.
+    under-report. At r = 0 the formula counts delta of the C + 1 = delta + 1
+    layers, so the value there is (delta + 1) * n, at most n cells in each
+    layer; a map of radius 0 is one cell, and its MDD has C + 1 nodes.
     """
     if radius < 0 or delta < 0 or n < 1:
         raise ValueError("requires radius >= 0, delta >= 0, n >= 1")
-    value = Fraction(4, 3) * radius * (radius + 1) * (radius + 2) + delta * n
+    if radius == 0:
+        value = (delta + 1) * n
+    else:
+        value = Fraction(4, 3) * radius * (radius + 1) * (radius + 2) + delta * n
     return MddSizeBound(2 * radius + delta, math.ceil(value), "radius-based")
 
 

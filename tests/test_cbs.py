@@ -198,6 +198,15 @@ class TestSolve:
         assert stats.expanded == 1
         assert validate(instance, paths) is None
 
+    def test_root_only_counters(self):
+        # no conflict: one low-level call per agent, one scan of each step
+        grid = open_grid(5)
+        instance = Instance(grid, (((0, 0), (4, 0)), ((0, 4), (4, 4)), ((2, 2), (2, 1))))
+        _, stats = solve(instance)
+        assert stats.generated == 1
+        assert stats.low_level_calls == instance.k
+        assert stats.conflict_steps_scanned == stats.optimal_cost + 1
+
     def test_crossing_agents_matches_joint_oracle(self):
         grid = open_grid(3)
         instance = Instance(grid, (((0, 1), (2, 1)), ((1, 0), (1, 2))))
@@ -308,6 +317,65 @@ class TestConstraintTree:
             for splitting in ("classic", "disjoint"):
                 solve(instance, splitting)
         assert seen["nodes"] > 1000 and seen["positive"] > 0
+
+    def test_every_node_keeps_the_conflicts_of_a_full_scan(self, monkeypatch):
+        # a child rescans only the steps its replans changed; what it keeps
+        # must be what a scan of all its paths finds
+        made = cbs.CtNode
+        seen = {"nodes": 0, "steps": 0, "scanned": 0}
+
+        def checked_node(constraints, paths, cost, conflict, n_conflicts, depth, by_step):
+            seen["nodes"] += 1
+            seen["steps"] += cost + 1
+            full = find_conflicts(paths)
+            assert conflict == (full[0] if full else None)
+            assert n_conflicts == len(full)
+            assert [c for t in sorted(by_step) for c in by_step[t]] == full
+            assert all(step and all(c.t == t for c in step) for t, step in by_step.items())
+            return made(constraints, paths, cost, conflict, n_conflicts, depth, by_step)
+
+        monkeypatch.setattr(cbs, "CtNode", checked_node)
+        for instance in contended_instances(2, 30):
+            for splitting in ("classic", "disjoint"):
+                seen["scanned"] += solve(instance, splitting)[1].conflict_steps_scanned
+        # most steps of most children were kept, not scanned again
+        assert seen["nodes"] > 1000 and seen["scanned"] < seen["steps"] / 2
+
+    def test_positive_branch_keeps_the_path_a_replan_would_find(self, monkeypatch):
+        # a positive constraint on agent i is met by i's path, so solve
+        # keeps that path; the low level under the child's constraints must
+        # return it unchanged
+        made_node, made_branches = cbs.CtNode, cbs._branches
+        search = cbs.low_level_search
+        now = {}
+        seen = {"positive": 0}
+
+        def recording_search(instance, agent, constraints, horizon):
+            now["horizon"] = horizon
+            return search(instance, agent, constraints, horizon)
+
+        def recording_branches(conflict, splitting):
+            for constraint in made_branches(conflict, splitting):
+                now["branch"] = constraint
+                yield constraint
+
+        def checked_node(constraints, paths, *rest):
+            branch = now.pop("branch", None)
+            if branch is not None and branch.sign == "positive":
+                seen["positive"] += 1
+                i = branch.agent
+                again = search(now["instance"], i, constraints, now["horizon"])
+                assert again == paths[i], (branch, paths[i], again)
+            return made_node(constraints, paths, *rest)
+
+        monkeypatch.setattr(cbs, "low_level_search", recording_search)
+        monkeypatch.setattr(cbs, "_branches", recording_branches)
+        monkeypatch.setattr(cbs, "CtNode", checked_node)
+        for instance in contended_instances(2, 30):
+            now.clear()
+            now["instance"] = instance
+            solve(instance, "disjoint")
+        assert seen["positive"] > 100
 
 
 def random_walk(rng, side, length):

@@ -284,6 +284,8 @@ class TestSolveCommand:
         assert payload["cost"] >= 4
         assert len(payload["paths"]) == 2
         assert all(m >= 0 for m in payload["bound_margins_log2"].values())
+        assert payload["low_level_calls"] >= 2
+        assert payload["conflict_steps_scanned"] >= payload["cost"] + 1
 
     def test_invalid_solution_is_domain_error(self, capsys, pocket_files, monkeypatch):
         import cbsbounds.cli as cli

@@ -19,7 +19,13 @@ from cbsbounds import (
 from cbsbounds import mdd as mdd_module
 from cbsbounds.mdd import mdd_widths
 from conftest import grid_from_rows, open_grid, random_grid
-from oracles import dijkstra_field, mdd_edge_oracle, mdd_layer_oracle, mdd_size_oracle
+from oracles import (
+    brute_force_radius,
+    dijkstra_field,
+    mdd_edge_oracle,
+    mdd_layer_oracle,
+    mdd_size_oracle,
+)
 
 
 class TestBuildMdd:
@@ -237,16 +243,19 @@ class TestNodeLimit:
         assert nodes > 9 * (10**9 - 4)
 
     def test_limit_is_exact(self, monkeypatch):
+        # the limit counts nodes plus the C + 1 layers
         cell = open_grid(1)
-        # one cell in every layer: C + 1 nodes
-        assert mdd_widths(cell, (0, 0), (0, 0), 499_999) == [1] * 500_000
-        with pytest.raises(ValueError, match="MDD of 500001 nodes"):
-            mdd_widths(cell, (0, 0), (0, 0), 500_000)
-        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 7)
+        # one cell in every layer: C + 1 nodes, 2(C + 1) in all
+        assert mdd_widths(cell, (0, 0), (0, 0), 249_999) == [1] * 250_000
+        with pytest.raises(ValueError, match="MDD of 250001 nodes in 250001 layers"):
+            mdd_widths(cell, (0, 0), (0, 0), 250_000)
         grid = open_grid(5)
+        # 7 nodes in 3 layers
+        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 10)
         assert mdd_size(build_mdd(grid, (2, 2), (2, 2), 2))[0] == 7
-        with pytest.raises(ValueError, match="MDD of 12 nodes exceeds the 7-node"):
-            build_mdd(grid, (2, 2), (2, 2), 3)
+        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 9)
+        with pytest.raises(ValueError, match="MDD of 7 nodes in 3 layers exceeds the 9-node"):
+            build_mdd(grid, (2, 2), (2, 2), 2)
 
 
 class TestSizeBounds:
@@ -294,11 +303,35 @@ class TestSizeBounds:
             assert exact <= analytic_size_bound(cost).value, cost
 
     def test_radius_bound_values(self):
-        assert radius_size_bound(0, 0, 1).value == 0
+        # a radius-0 map is one cell, which each of the C + 1 layers holds
+        assert radius_size_bound(0, 0, 1).value == 1
+        assert radius_size_bound(0, 5, 1).value == 6
         assert radius_size_bound(7, 0, 1).value == 672
         assert radius_size_bound(7, 0, 1).value < 2 * 7**3
         assert radius_size_bound(10, 3, 441).value == 1760 + 1323
         assert radius_size_bound(10, 3, 441).cost == 23
+
+    def test_radius_bound_covers_random_maps(self):
+        # every start with two goals on connected random maps, C from 2r
+        # to 2r + 2
+        rng = random.Random(61)
+        checked = single = 0
+        while checked < 50:
+            grid = random_grid(rng, rng.randint(1, 5), rng.randint(1, 5))
+            found = brute_force_radius(grid)
+            if found is None:
+                continue
+            r = found[0]
+            cells = sorted(dijkstra_field(grid, found[1]))
+            for start in cells:
+                for goal in rng.sample(cells, min(2, len(cells))):
+                    for cost in range(2 * r, 2 * r + 3):
+                        nodes, _ = mdd_size_oracle(grid, start, goal, cost)
+                        bound = radius_size_bound(r, cost - 2 * r, grid.n)
+                        assert nodes <= bound.value, (found, start, goal, cost)
+            checked += 1
+            single += r == 0
+        assert single > 0
 
     def test_edge_budget(self, open5):
         diagram = build_mdd(open5, (0, 0), (4, 4), 10)
