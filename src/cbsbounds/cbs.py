@@ -101,7 +101,6 @@ class SolveStats:
     negative_applied: int
     positive_applied: int
     optimal_cost: int
-    expansion_costs: tuple[int, ...]
     low_level_calls: int = 0
     conflict_steps_scanned: int = 0
 
@@ -218,23 +217,38 @@ def _constraint_tables(constraints, agent, grid):
     return neg_v, neg_e, required
 
 
+def _descent(grid, dist: list[int], u: int) -> list[Cell]:
+    """The cells from id u to the goal of ``dist``, stepping from each cell
+    to its lowest-id neighbour one closer to the goal."""
+    steps = grid.steps
+    cells = [grid.cell(u)]
+    while dist[u]:
+        u = min(v for v in steps[u] if dist[v] < dist[u])
+        cells.append(grid.cell(u))
+    return cells
+
+
 def low_level_search(
     instance: Instance, agent: int, constraints, horizon: int
 ) -> Optional[Path]:
     """Minimum-termination-time constrained path for one agent, or None.
 
     Space-time A* over (cell id, t) on the map's ``steps``, with the cached
-    goal field (the exact unconstrained distance) as heuristic; ties break
-    toward higher g, then lower id. The path terminates only once no later
-    negative constraint pins the goal cell and every positive constraint
-    away from the goal has been consumed.
+    goal field d (the exact unconstrained distance) as heuristic. The path
+    terminates only once no later negative constraint pins the goal cell
+    and every positive constraint away from the goal has been consumed; the
+    earliest such time is the floor. A state's key is f = t + d(v) lifted
+    to the floor, and ties break toward higher t, then lower d(v), then
+    lower id: the order of (f, -t, id) whenever the floor is at most
+    d(start), and a deepest-first run toward the goal below the floor.
 
     A state is the int ``t * S + u`` (S = ``len(steps)``), and a heap entry
-    the int ``(f * (H + 1) + H - t) * S + u`` for H = max(horizon, 0), which
-    sorts like ``(f, -t, u)``. When no constraint binds the agent, the
-    search would pop the states of one descent, so that path is returned
-    directly: from each cell, step to the lowest id one closer to the goal
-    (proof in README).
+    the int ``((max(f, floor) * (H + 1) + H - t) * S + d(v)) * S + v`` for
+    H = max(horizon, 0). The first state popped at or past the last
+    constraint time, whose descent A* would pop next, returns its tree path
+    followed by that descent: from each cell, step to the lowest id one
+    closer to the goal. With no constraint this is the start's descent
+    (proofs in README).
     """
     grid = instance.map
     start, goal = (grid.index(cell) for cell in instance.agents[agent])
@@ -245,24 +259,22 @@ def low_level_search(
     dist = instance.goal_fields[agent]
     if dist[start] < 0:
         return None
-    steps = grid.steps
     if not (neg_v or neg_e or required):
-        # f = d(start) along every descent, a wait costs f + 1 and a sideways
-        # step f + 2, so A* pops the lowest-id closer child of each state
+        # the last constraint time is -1, so the start is past it
         if dist[start] > max(horizon, 0):
             return None
-        u = start
-        cells = [grid.cell(u)]
-        while dist[u]:
-            u = min(v for v in steps[u] if dist[v] < dist[u])
-            cells.append(grid.cell(u))
-        return tuple(cells)
+        return tuple(_descent(grid, dist, start))
     if required.get(0, start) != start or start in neg_v:
         return None
     if any(t > horizon for t in required):
         return None
 
+    steps = grid.steps
     size = len(steps)
+    last = max(
+        [s // size for s in neg_v] + [s // size // size for s in neg_e] + list(required),
+        default=-1,
+    )
     floor = max(
         [s // size + 1 for s in neg_v if s % size == goal]
         + [t for t, u in required.items() if u != goal],
@@ -271,8 +283,10 @@ def low_level_search(
 
     # every id reached shares the start's component: no distance is -1
     top = max(horizon, 0)
-    scale = (top + 1) * size
-    open_heap = [max(dist[start], floor) * scale + top * size + start]
+    area = size * size
+    scale = (top + 1) * area
+    d = dist[start]
+    open_heap = [max(d, floor) * scale + top * area + d * size + start]
     # parent guards every push, so each state is pushed and popped at most
     # once; forbidden states count as already reached, so one lookup screens
     # both
@@ -281,20 +295,23 @@ def low_level_search(
     while open_heap:
         key = heapq.heappop(open_heap)
         u = key % size
-        t = top - key // size % (top + 1)
-        state = t * size + u
-        if u == goal and t >= floor:
+        t = top - key // area % (top + 1)
+        if t >= last or (u == goal and t >= floor):
+            if t + dist[u] > top:
+                return None
             waypoints = []
+            state = parent[t * size + u]
             while state >= 0:
                 waypoints.append(grid.cell(state % size))
                 state = parent[state]
-            return tuple(reversed(waypoints))
+            return (*reversed(waypoints), *_descent(grid, dist, u))
         if t >= horizon:
             continue
         nt = t + 1
         base = nt * size
-        rank = top * (nt + 1) * size  # the key of (v, nt) less dist[v] * scale + v
+        rank = (top - nt) * area
         req = required.get(nt)
+        state = t * size + u
         for v in steps[u]:
             s = base + v
             if s in parent:
@@ -302,7 +319,11 @@ def low_level_search(
             if (v != u and s * size + u in neg_e) or (req is not None and req != v):
                 continue
             parent[s] = state
-            heapq.heappush(open_heap, dist[v] * scale + rank + v)
+            d = dist[v]
+            f = nt + d
+            heapq.heappush(
+                open_heap, (f if f > floor else floor) * scale + rank + d * size + v
+            )
     return None
 
 
@@ -398,12 +419,10 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
     open_heap = [(root.cost, root.n_conflicts, seq, root)]
     generated, expanded, max_depth = 1, 0, 0
     negative_applied = positive_applied = 0
-    expansion_costs = []
 
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
         expanded += 1
-        expansion_costs.append(node.cost)
         if node.conflict is None:
             stats = SolveStats(
                 generated,
@@ -412,7 +431,6 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
                 negative_applied,
                 positive_applied,
                 node.cost,
-                tuple(expansion_costs),
                 calls,
                 scanned,
             )

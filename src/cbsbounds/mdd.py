@@ -22,11 +22,12 @@ from itertools import accumulate
 
 from .model import Cell, GridMap, _bfs
 
-# Most nodes plus layers build_mdd and mdd_widths accept. Each layer has a
-# frozenset and a dict of its own, so it is counted like a node. A process
-# that builds an MDD at the limit peaks at about 90 MiB RSS on an open
-# 100 x 100 map (corner to corner at C = 246: 490,000 nodes in 247 layers)
-# and at about 195 MiB on a one-cell map (250,000 nodes in as many layers).
+# Most nodes plus five per layer build_mdd and mdd_widths accept. Each layer
+# has a frozenset and a dict of its own, about five nodes' worth of memory
+# even when it holds one cell. A process that builds an MDD at the limit
+# peaks at about 80 MiB RSS both on an open 100 x 100 map (corner to corner
+# at C = 246: 490,000 nodes in 247 layers) and on a one-cell map (83,333
+# nodes in as many layers).
 _MDD_MAX_NODES = 5 * 10**5
 
 
@@ -78,18 +79,18 @@ def _distance_lists(
 def _sized_lists(
     grid: GridMap, start: Cell, goal: Cell, cost: int
 ) -> tuple[list[int], list[int]]:
-    """:func:`_distance_lists`, refused when the MDD's nodes plus its C + 1
-    layers exceed ``_MDD_MAX_NODES``, so the limit bounds memory whatever the
-    map's shape. The count is at least 2(C + 1), and a huge cost is refused
-    before anything of its size exists."""
+    """:func:`_distance_lists`, refused when the MDD's nodes plus five for
+    each of its C + 1 layers exceed ``_MDD_MAX_NODES``, so the limit bounds
+    memory whatever the map's shape. The count is at least 6(C + 1), and a
+    huge cost is refused before anything of its size exists."""
     d_start, d_goal = _distance_lists(grid, start, goal, cost)
     nodes = sum(
         cost + 1 - ds - dg for ds, dg in zip(d_start, d_goal) if 0 <= ds <= cost - dg
     )
-    if nodes + cost + 1 > _MDD_MAX_NODES:
+    if nodes + 5 * (cost + 1) > _MDD_MAX_NODES:
         raise ValueError(
             f"MDD of {nodes} nodes in {cost + 1} layers exceeds the "
-            f"{_MDD_MAX_NODES}-node limit, which counts each layer as a node"
+            f"{_MDD_MAX_NODES}-node limit, which counts each layer as five nodes"
         )
     return d_start, d_goal
 

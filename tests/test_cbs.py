@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 
 import numpy as np
@@ -53,6 +54,25 @@ def check_instance(instance, expected_cost=None):
     return oracle
 
 
+def neighbours(grid, cell):
+    x, y = cell
+    return [(x + dx, y + dy) for dx, dy in MOVES if grid.is_passable((x + dx, y + dy))]
+
+
+def assert_breaks_nothing(grid, path, start, goal, neg_v, neg_e):
+    """A path from start to goal of waits and unit moves on passable cells,
+    resting at the goal, that meets no negative vertex (cell, t) or edge
+    (u, v, t) constraint."""
+    assert path[0] == start and path[-1] == goal
+    for a, b in zip(path, path[1:]):
+        assert b == a or b in neighbours(grid, a)
+    last = len(path) - 1
+    for cell, t in neg_v:
+        assert path[min(t, last)] != cell, (cell, t, path)
+    for u, v, t in neg_e:
+        assert not (t <= last and path[t - 1] == u and path[t] == v), (u, v, t, path)
+
+
 class TestLowLevel:
     def test_unconstrained_is_shortest(self, open5):
         instance = Instance(open5, (((0, 0), (4, 4)),))
@@ -79,30 +99,63 @@ class TestLowLevel:
         assert path[1] != (1, 0)
 
     def test_matches_space_time_bfs_on_random_constraint_sets(self):
+        # goal pins at late times lift the termination floor above d(start);
+        # past the last constraint time the path is the smallest-cell descent
         rng = random.Random(31)
-        for width, height in ((4, 4), (5, 3), (1, 6)):
-            grid = open_grid(width, height)
-            goal = (width - 1, height - 1)
-            instance = Instance(grid, (((0, 0), goal),))
-            cells = list(grid.cells())
-            for _ in range(40):
+        cases = [
+            (open_grid(4, 4), (0, 0), (3, 3)),
+            (open_grid(5, 3), (0, 0), (4, 2)),
+            (open_grid(1, 6), (0, 0), (0, 5)),
+        ]
+        while len(cases) < 11:
+            mask = np.array([[rng.random() >= 0.2 for _ in range(6)] for _ in range(6)])
+            grid = GridMap(6, 6, mask)
+            start = rng.choice(sorted(grid.cells()))
+            component = sorted(dijkstra_field(grid, start))
+            if len(component) > 8:
+                cases.append((grid, start, rng.choice(component)))
+        lifted = 0
+        for grid, start, goal in cases:
+            instance = Instance(grid, ((start, goal),))
+            field = dijkstra_field(grid, start)
+            cells, shortest = sorted(field), field[goal]
+            for _ in range(30):
                 neg_v = {
                     (rng.choice(cells), rng.randint(1, 8))
                     for _ in range(rng.randint(0, 6))
                 }
+                neg_v |= {
+                    (goal, rng.randint(shortest, shortest + 6))
+                    for _ in range(rng.randint(0, 2))
+                }
+                neg_e = set()
+                for _ in range(rng.randint(0, 4)):
+                    u = rng.choice(cells)
+                    near = neighbours(grid, u)
+                    if near:
+                        neg_e.add((u, rng.choice(near), rng.randint(1, 8)))
                 constraints = frozenset(
-                    Constraint(0, "vertex", "negative", cell, t) for cell, t in neg_v
+                    [Constraint(0, "vertex", "negative", cell, t) for cell, t in neg_v]
+                    + [Constraint(0, "edge", "negative", (u, v), t) for u, v, t in neg_e]
                 )
-                oracle = space_time_bfs_cost(grid, (0, 0), goal, neg_v, set(), 30)
+                last = max([t for _, t in neg_v] + [t for *_, t in neg_e], default=-1)
+                floor = max([t + 1 for cell, t in neg_v if cell == goal], default=0)
+                lifted += floor > shortest
+                oracle = space_time_bfs_cost(grid, start, goal, neg_v, neg_e, 30)
                 # at the oracle's cost the goal is reached at t = horizon
                 tight = () if oracle is None else (oracle, oracle - 1)
                 for horizon in (30, *tight):
                     path = low_level_search(instance, 0, constraints, horizon)
-                    cost = space_time_bfs_cost(grid, (0, 0), goal, neg_v, set(), horizon)
+                    cost = space_time_bfs_cost(grid, start, goal, neg_v, neg_e, horizon)
                     if cost is None:
                         assert path is None
-                    else:
-                        assert path is not None and path_cost(path) == cost
+                        continue
+                    assert path is not None and path_cost(path) == cost
+                    assert_breaks_nothing(grid, path, start, goal, neg_v, neg_e)
+                    if len(path) > last + 1:
+                        tail = smallest_cell_descent(grid, path[last + 1], goal)
+                        assert path[last + 1 :] == tail
+        assert lifted > 100
 
     def test_unbound_search_is_smallest_cell_descent(self):
         # with no constraint on the agent, the search returns the descent
@@ -216,10 +269,25 @@ class TestSolve:
         cost = check_instance(pocket_corridor)
         assert cost > bfs_distance(pocket_corridor.map, (0, 0), (4, 0))
 
-    def test_best_first_expansion_costs(self, pocket_corridor):
+    def test_best_first_expansion_costs(self, pocket_corridor, monkeypatch):
+        # the CT heap pops (cost, n_conflicts, seq, node) tuples; the A*
+        # heap pops ints
+        costs = []
+
+        class RecordingHeap:
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                item = heapq.heappop(heap)
+                if isinstance(item, tuple):
+                    costs.append(item[0])
+                return item
+
+        monkeypatch.setattr(cbs, "heapq", RecordingHeap)
         _, stats = solve(pocket_corridor, "classic")
-        costs = stats.expansion_costs
-        assert list(costs) == sorted(costs)
+        assert len(costs) == stats.expanded > 1
+        assert costs == sorted(costs)
         assert stats.negative_applied == stats.generated - 1
         _, stats = solve(pocket_corridor, "disjoint")
         assert stats.positive_applied > 0

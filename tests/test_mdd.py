@@ -243,18 +243,18 @@ class TestNodeLimit:
         assert nodes > 9 * (10**9 - 4)
 
     def test_limit_is_exact(self, monkeypatch):
-        # the limit counts nodes plus the C + 1 layers
+        # the limit counts nodes plus five for each of the C + 1 layers
         cell = open_grid(1)
-        # one cell in every layer: C + 1 nodes, 2(C + 1) in all
-        assert mdd_widths(cell, (0, 0), (0, 0), 249_999) == [1] * 250_000
-        with pytest.raises(ValueError, match="MDD of 250001 nodes in 250001 layers"):
-            mdd_widths(cell, (0, 0), (0, 0), 250_000)
+        # one cell in every layer: C + 1 nodes, 6(C + 1) in all
+        assert mdd_widths(cell, (0, 0), (0, 0), 83_332) == [1] * 83_333
+        with pytest.raises(ValueError, match="MDD of 83334 nodes in 83334 layers"):
+            mdd_widths(cell, (0, 0), (0, 0), 83_333)
         grid = open_grid(5)
-        # 7 nodes in 3 layers
-        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 10)
+        # 7 nodes in 3 layers: 7 + 15
+        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 22)
         assert mdd_size(build_mdd(grid, (2, 2), (2, 2), 2))[0] == 7
-        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 9)
-        with pytest.raises(ValueError, match="MDD of 7 nodes in 3 layers exceeds the 9-node"):
+        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 21)
+        with pytest.raises(ValueError, match="MDD of 7 nodes in 3 layers exceeds the 21-node"):
             build_mdd(grid, (2, 2), (2, 2), 2)
 
 
