@@ -70,7 +70,6 @@ from .model import (
     ParseError,
     ScenEntry,
     bfs_distance,
-    distance_field,
     is_valid_path,
     parse_map,
     parse_scen,

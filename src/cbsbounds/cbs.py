@@ -228,10 +228,9 @@ def _descent(grid, dist: list[int], u: int) -> list[Cell]:
     return cells
 
 
-def low_level_search(
-    instance: Instance, agent: int, constraints, horizon: int
-) -> Optional[Path]:
-    """Minimum-termination-time constrained path for one agent, or None.
+def low_level_search(instance: Instance, agent: int, constraints) -> Optional[Path]:
+    """Minimum-termination-time constrained path for one agent, or None when
+    no path meets the constraints.
 
     Space-time A* over (cell id, t) on the map's ``steps``, with the cached
     goal field d (the exact unconstrained distance) as heuristic. The path
@@ -243,12 +242,12 @@ def low_level_search(
     d(start), and a deepest-first run toward the goal below the floor.
 
     A state is the int ``t * S + u`` (S = ``len(steps)``), and a heap entry
-    the int ``((max(f, floor) * (H + 1) + H - t) * S + d(v)) * S + v`` for
-    H = max(horizon, 0). The first state popped at or past the last
-    constraint time, whose descent A* would pop next, returns its tree path
-    followed by that descent: from each cell, step to the lowest id one
-    closer to the goal. With no constraint this is the start's descent
-    (proofs in README).
+    the int ``((max(f, floor) * (T + 1) + T - t) * S + d(v)) * S + v`` for
+    T the last constraint time, past which no state is pushed. The first
+    state popped at or past T, whose descent A* would pop next, returns its
+    tree path followed by that descent: from each cell, step to the lowest
+    id one closer to the goal. With no constraint this is the start's
+    descent (proofs in README).
     """
     grid = instance.map
     start, goal = (grid.index(cell) for cell in instance.agents[agent])
@@ -261,19 +260,14 @@ def low_level_search(
         return None
     if not (neg_v or neg_e or required):
         # the last constraint time is -1, so the start is past it
-        if dist[start] > max(horizon, 0):
-            return None
         return tuple(_descent(grid, dist, start))
     if required.get(0, start) != start or start in neg_v:
-        return None
-    if any(t > horizon for t in required):
         return None
 
     steps = grid.steps
     size = len(steps)
     last = max(
-        [s // size for s in neg_v] + [s // size // size for s in neg_e] + list(required),
-        default=-1,
+        [s // size for s in neg_v] + [s // size // size for s in neg_e] + list(required)
     )
     floor = max(
         [s // size + 1 for s in neg_v if s % size == goal]
@@ -282,11 +276,10 @@ def low_level_search(
     )
 
     # every id reached shares the start's component: no distance is -1
-    top = max(horizon, 0)
     area = size * size
-    scale = (top + 1) * area
+    scale = (last + 1) * area
     d = dist[start]
-    open_heap = [max(d, floor) * scale + top * area + d * size + start]
+    open_heap = [max(d, floor) * scale + last * area + d * size + start]
     # parent guards every push, so each state is pushed and popped at most
     # once; forbidden states count as already reached, so one lookup screens
     # both
@@ -295,21 +288,17 @@ def low_level_search(
     while open_heap:
         key = heapq.heappop(open_heap)
         u = key % size
-        t = top - key // area % (top + 1)
+        t = last - key // area % (last + 1)
         if t >= last or (u == goal and t >= floor):
-            if t + dist[u] > top:
-                return None
             waypoints = []
             state = parent[t * size + u]
             while state >= 0:
                 waypoints.append(grid.cell(state % size))
                 state = parent[state]
             return (*reversed(waypoints), *_descent(grid, dist, u))
-        if t >= horizon:
-            continue
         nt = t + 1
         base = nt * size
-        rank = (top - nt) * area
+        rank = (last - nt) * area
         req = required.get(nt)
         state = t * size + u
         for v in steps[u]:
@@ -389,9 +378,12 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
     calls = scanned = 0
 
     def search(agent, constraints):
+        # the low level ends by its constraints alone; the cap applies here
+        # (proof in README)
         nonlocal calls
         calls += 1
-        return low_level_search(instance, agent, constraints, horizon)
+        path = low_level_search(instance, agent, constraints)
+        return None if path is None or path_cost(path) > horizon else path
 
     def make_node(constraints, paths, depth, kept, steps) -> CtNode:
         # kept holds the conflicts of every step below the paths' end that
@@ -532,7 +524,7 @@ class BoundCheckReport:
     log2_generated: float
     mdd_budget_log2: float
     recurrence_log2: float
-    rec_gf_log2: float
+    rec_gf_log2: Optional[float]  # None when n < 4, where that bound does not hold
     margins: dict
 
 
@@ -541,7 +533,8 @@ def empirical_bound_check(instance: Instance, stats: SolveStats) -> BoundCheckRe
 
     Budgets: the exact per-agent MDD node sum (exponential bound), the
     recurrence at the edge-aware constraint budgets r = sum(M_i + E_i),
-    s = kC, and the generating-function bound (e n)**(kC). Each agent's MDD
+    s = kC, and the generating-function bound (e n)**(kC), which holds only
+    for n >= 4 and is left out below that when kC > 0. Each agent's MDD
     (nodes, edges) at the optimal cost C is counted as :func:`mdd_counts`
     counts it, from the instance's cached goal fields.
     """
@@ -558,18 +551,19 @@ def empirical_bound_check(instance: Instance, stats: SolveStats) -> BoundCheckRe
     mdd_budget = float(sum(m for m, _ in mdd_sizes))
     r = sum(m + e for m, e in mdd_sizes)
     s = k * c
-    if s == 0:
-        rec_log2 = 0.0
-        gf_log2 = 0.0
-    else:
+    rec_log2 = gf_log2 = 0.0
+    if s:
         rec_log2 = eval_log(r, s).log2
-        gf_log2 = bound_rec_genfunc(BoundInputs(n=grid.n, k=k, C=c)).log2
+        gf_log2 = None
+        if grid.n >= 4:
+            gf_log2 = bound_rec_genfunc(BoundInputs(n=grid.n, k=k, C=c)).log2
 
     margins = {
         "mdd_exponential": mdd_budget - log2_gen,
         "recurrence": rec_log2 - log2_gen,
-        "rec_genfunc": gf_log2 - log2_gen,
     }
+    if gf_log2 is not None:
+        margins["rec_genfunc"] = gf_log2 - log2_gen
     bad = {name: m for name, m in margins.items() if m < -1e-9}
     if bad:
         raise BoundViolationError(

@@ -130,12 +130,27 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _table_rows(fh) -> list[tuple[str, int, int, int]]:
+    """The (name, n, k, C) of every row of a table CSV; a missing column or a
+    short row is a ValueError that names it."""
+    reader = csv.DictReader(fh)
+    rows = []
+    for row in reader:
+        for column in ("name", "n", "k", "C"):
+            if column not in row:
+                raise ValueError(f"table input has no {column!r} column")
+            if row[column] is None:
+                raise ValueError(f"line {reader.line_num}: no {column!r} field")
+        rows.append((row["name"], int(row["n"]), int(row["k"]), int(row["C"])))
+    return rows
+
+
 def cmd_table(args) -> int:
     if args.input == "-":
-        rows = list(csv.DictReader(sys.stdin))
+        rows = _table_rows(sys.stdin)
     else:
         with open(args.input, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            rows = _table_rows(fh)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         [
@@ -144,12 +159,11 @@ def cmd_table(args) -> int:
             "org_exp10", "rec_ind_exp10", "rec_gf_exp10",
         ]
     )
-    for row in rows:
-        n, k, c = int(row["n"]), int(row["k"]), int(row["C"])
+    for name, n, k, c in rows:
         report = bounds_mod.compare(bounds_mod.BoundInputs(n=n, k=k, C=c))
         writer.writerow(
             [
-                row["name"], n, k, c,
+                name, n, k, c,
                 _fmt(report.org.log2),
                 _fmt(report.rec_ind.log2),
                 _fmt(report.rec_gf.log2),

@@ -284,15 +284,6 @@ def _bfs(grid: GridMap, source: Cell) -> list[int]:
     return dist
 
 
-def distance_field(grid: GridMap, source: Cell) -> np.ndarray:
-    """BFS distances from ``source`` to every cell; -1 marks unreachable."""
-    if not grid.is_passable(source):
-        raise ValueError(f"source {source} is blocked or out of bounds")
-    columns = np.array(_bfs(grid, source), dtype=np.int32)
-    columns = columns.reshape(grid.width, grid.height + 1)
-    return np.ascontiguousarray(columns[:, :-1].T)
-
-
 def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:
     """Exact unweighted shortest-path length, or None if unreachable."""
     if not grid.is_passable(b):

@@ -76,21 +76,21 @@ def assert_breaks_nothing(grid, path, start, goal, neg_v, neg_e):
 class TestLowLevel:
     def test_unconstrained_is_shortest(self, open5):
         instance = Instance(open5, (((0, 0), (4, 4)),))
-        path = low_level_search(instance, 0, frozenset(), horizon=40)
+        path = low_level_search(instance, 0, frozenset())
         assert path_cost(path) == bfs_distance(open5, (0, 0), (4, 4))
 
     def test_off_path_constraint_keeps_cost(self):
         grid = grid_from_rows(["...", "@@@", "..."])
         instance = Instance(grid, (((0, 0), (2, 0)),))
         constraint = Constraint(0, "vertex", "negative", (0, 2), 1)
-        path = low_level_search(instance, 0, frozenset({constraint}), horizon=20)
+        path = low_level_search(instance, 0, frozenset({constraint}))
         assert path_cost(path) == 2
 
     def test_blocking_constraint_costs_detour(self):
         grid = open_grid(3)
         instance = Instance(grid, (((0, 0), (2, 0)),))
         constraint = Constraint(0, "vertex", "negative", (1, 0), 1)
-        path = low_level_search(instance, 0, frozenset({constraint}), horizon=20)
+        path = low_level_search(instance, 0, frozenset({constraint}))
         oracle = space_time_bfs_cost(
             grid, (0, 0), (2, 0), {((1, 0), 1)}, set(), horizon=20
         )
@@ -141,20 +141,19 @@ class TestLowLevel:
                 last = max([t for _, t in neg_v] + [t for *_, t in neg_e], default=-1)
                 floor = max([t + 1 for cell, t in neg_v if cell == goal], default=0)
                 lifted += floor > shortest
-                oracle = space_time_bfs_cost(grid, start, goal, neg_v, neg_e, 30)
-                # at the oracle's cost the goal is reached at t = horizon
-                tight = () if oracle is None else (oracle, oracle - 1)
-                for horizon in (30, *tight):
-                    path = low_level_search(instance, 0, constraints, horizon)
-                    cost = space_time_bfs_cost(grid, start, goal, neg_v, neg_e, horizon)
-                    if cost is None:
-                        assert path is None
-                        continue
-                    assert path is not None and path_cost(path) == cost
-                    assert_breaks_nothing(grid, path, start, goal, neg_v, neg_e)
-                    if len(path) > last + 1:
-                        tail = smallest_cell_descent(grid, path[last + 1], goal)
-                        assert path[last + 1 :] == tail
+                # past T* nothing is forbidden and every cell is at most
+                # n - 1 steps from the goal, so this horizon loses no path
+                horizon = max(last, 0) + grid.n
+                cost = space_time_bfs_cost(grid, start, goal, neg_v, neg_e, horizon)
+                path = low_level_search(instance, 0, constraints)
+                if cost is None:
+                    assert path is None
+                    continue
+                assert path is not None and path_cost(path) == cost
+                assert_breaks_nothing(grid, path, start, goal, neg_v, neg_e)
+                if len(path) > last + 1:
+                    tail = smallest_cell_descent(grid, path[last + 1], goal)
+                    assert path[last + 1 :] == tail
         assert lifted > 100
 
     def test_unbound_search_is_smallest_cell_descent(self):
@@ -189,22 +188,18 @@ class TestLowLevel:
             )
             expected = smallest_cell_descent(grid, start, goal)
             for constraints in (frozenset(), others):
-                assert low_level_search(instance, 0, constraints, 4 * side * side) == expected
+                assert low_level_search(instance, 0, constraints) == expected
             if expected is None:
                 unreachable += 1
-                continue
-            descents += 1
-            cost = path_cost(expected)
-            assert low_level_search(instance, 0, frozenset(), cost) == expected
-            if cost:
-                assert low_level_search(instance, 0, frozenset(), cost - 1) is None
+            else:
+                descents += 1
         assert unreachable > 0
 
     def test_goal_constraint_delays_termination(self):
         grid = open_grid(3)
         instance = Instance(grid, (((0, 0), (2, 0)),))
         constraint = Constraint(0, "vertex", "negative", (2, 0), 5)
-        path = low_level_search(instance, 0, frozenset({constraint}), horizon=20)
+        path = low_level_search(instance, 0, frozenset({constraint}))
         assert path_cost(path) >= 6
         assert path[5] != (2, 0)
 
@@ -212,7 +207,7 @@ class TestLowLevel:
         grid = open_grid(3)
         instance = Instance(grid, (((0, 0), (2, 0)),))
         constraint = Constraint(0, "vertex", "positive", (1, 1), 2)
-        path = low_level_search(instance, 0, frozenset({constraint}), horizon=20)
+        path = low_level_search(instance, 0, frozenset({constraint}))
         assert path[2] == (1, 1)
 
     def test_edge_constraint_validation(self):
@@ -225,7 +220,7 @@ class TestLowLevel:
         grid = open_grid(3)
         instance = Instance(grid, (((0, 0), (2, 0)),))
         pinned = Constraint(0, "edge", "positive", ((1, 1), (2, 1)), 3)
-        path = low_level_search(instance, 0, frozenset({pinned}), horizon=20)
+        path = low_level_search(instance, 0, frozenset({pinned}))
         assert path[2] == (1, 1) and path[3] == (2, 1)
         assert path[-1] == (2, 0)
 
@@ -235,7 +230,7 @@ class TestLowLevel:
         # agent 1 is pinned to the move (1,0)->(0,0) arriving at t=2, so agent 0
         # must keep off (1,0)@1, (0,0)@2 and must not swap against it
         pinned = Constraint(1, "edge", "positive", ((1, 0), (0, 0)), 2)
-        path = low_level_search(instance, 0, frozenset({pinned}), horizon=20)
+        path = low_level_search(instance, 0, frozenset({pinned}))
         assert path[1] != (1, 0)
         assert len(path) <= 2 or path[2] != (0, 0)
         assert not (path[1] == (0, 0) and path[2] == (1, 0))
@@ -414,13 +409,8 @@ class TestConstraintTree:
         # keeps that path; the low level under the child's constraints must
         # return it unchanged
         made_node, made_branches = cbs.CtNode, cbs._branches
-        search = cbs.low_level_search
         now = {}
         seen = {"positive": 0}
-
-        def recording_search(instance, agent, constraints, horizon):
-            now["horizon"] = horizon
-            return search(instance, agent, constraints, horizon)
 
         def recording_branches(conflict, splitting):
             for constraint in made_branches(conflict, splitting):
@@ -432,11 +422,10 @@ class TestConstraintTree:
             if branch is not None and branch.sign == "positive":
                 seen["positive"] += 1
                 i = branch.agent
-                again = search(now["instance"], i, constraints, now["horizon"])
+                again = low_level_search(now["instance"], i, constraints)
                 assert again == paths[i], (branch, paths[i], again)
             return made_node(constraints, paths, *rest)
 
-        monkeypatch.setattr(cbs, "low_level_search", recording_search)
         monkeypatch.setattr(cbs, "_branches", recording_branches)
         monkeypatch.setattr(cbs, "CtNode", checked_node)
         for instance in contended_instances(2, 30):

@@ -221,6 +221,22 @@ class TestTableCommand:
         assert float(first[4]) == bound_original(BoundInputs(n=2304, k=64, C=70)).log2
         assert first[8] == "8"
 
+    def test_missing_column_exit_1(self, capsys, tmp_path):
+        src = tmp_path / "rows.csv"
+        src.write_text("name,n,k\nempty-a,2304,64\n")
+        code, out, err = run_cli(capsys, "table", "--input", str(src))
+        assert code == 1
+        assert out == ""
+        assert err == "error: table input has no 'C' column\n"
+
+    def test_short_row_exit_1(self, capsys, tmp_path):
+        src = tmp_path / "rows.csv"
+        src.write_text("name,n,k,C\nempty-a,2304,64,70\nwarehouse-a,9776,8\n")
+        code, out, err = run_cli(capsys, "table", "--input", str(src))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 3: no 'C' field\n"
+
 
 class TestPlotCommand:
     def test_log_mode_monotone_and_ordered(self, capsys):
@@ -306,6 +322,25 @@ class TestSolveCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: solver produced an invalid solution")
+
+    def test_map_below_four_cells_drops_the_genfunc_margin(self, capsys, tmp_path):
+        # (e n)**(kC) holds only for n >= 4; a 3-cell corridor still solves
+        map_path, scen_path = tmp_path / "corridor.map", tmp_path / "corridor.scen"
+        map_path.write_text("type octile\nheight 1\nwidth 3\nmap\n...\n")
+        scen_path.write_text("version 1\n0\tcorridor.map\t3\t1\t0\t0\t2\t0\t2\n")
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--map", str(map_path), "--scen", str(scen_path),
+            "--agents", "1", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cost"] == 2
+        assert payload["paths"] == [[[0, 0], [1, 0], [2, 0]]]
+        margins = payload["bound_margins_log2"]
+        assert sorted(margins) == ["mdd_exponential", "recurrence"]
+        assert margins["mdd_exponential"] == 3.0  # three MDD nodes, one CT node
+        assert margins["recurrence"] >= 0
 
     def test_byte_identical_reruns(self, capsys, pocket_files):
         map_path, scen_path = pocket_files

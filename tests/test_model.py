@@ -9,7 +9,6 @@ from cbsbounds import (
     Instance,
     ParseError,
     bfs_distance,
-    distance_field,
     is_valid_path,
     parse_map,
     parse_scen,
@@ -147,13 +146,12 @@ class TestParseScen:
 
 
 def assert_field_matches_dijkstra(grid, source):
-    field = distance_field(grid, source)
-    assert field.dtype == np.int32
-    assert field.shape == (grid.height, grid.width)
-    expected = np.full((grid.height, grid.width), -1, dtype=np.int32)
-    for (x, y), d in dijkstra_field(grid, source).items():
-        expected[y, x] = d
-    assert np.array_equal(field, expected)
+    """``model._bfs`` from source at every cell, as rows of distances, checked
+    against Dijkstra (-1 where unreachable or blocked)."""
+    dist, expected = model._bfs(grid, source), dijkstra_field(grid, source)
+    rows = [[(x, y) for x in range(grid.width)] for y in range(grid.height)]
+    field = [[dist[grid.index(cell)] for cell in row] for row in rows]
+    assert field == [[expected.get(cell, -1) for cell in row] for row in rows]
     return field
 
 
@@ -193,22 +191,18 @@ class TestDistances:
             cells = list(grid.cells())
             for source in rng.sample(cells, min(3, len(cells))):
                 field = assert_field_matches_dijkstra(grid, source)
-                cut_off += int(((field < 0) & grid.passable).sum())
+                cut_off += sum(field[y][x] < 0 for x, y in grid.cells())
         assert cut_off > 0  # some draws were disconnected
 
     def test_field_on_edge_shapes(self):
         single = grid_from_rows(["@@@", "@.@", "@@@"])
         field = assert_field_matches_dijkstra(single, (1, 1))
-        assert field.tolist() == [[-1, -1, -1], [-1, 0, -1], [-1, -1, -1]]
-        assert assert_field_matches_dijkstra(open_grid(1), (0, 0)).tolist() == [[0]]
+        assert field == [[-1, -1, -1], [-1, 0, -1], [-1, -1, -1]]
+        assert assert_field_matches_dijkstra(open_grid(1), (0, 0)) == [[0]]
         row = grid_from_rows(["..@..."])
-        assert assert_field_matches_dijkstra(row, (4, 0)).tolist() == [
-            [-1, -1, -1, 1, 0, 1]
-        ]
+        assert assert_field_matches_dijkstra(row, (4, 0)) == [[-1, -1, -1, 1, 0, 1]]
         column = grid_from_rows([".", ".", "@", "."])
-        assert assert_field_matches_dijkstra(column, (0, 0)).ravel().tolist() == [
-            0, 1, -1, -1
-        ]
+        assert assert_field_matches_dijkstra(column, (0, 0)) == [[0], [1], [-1], [-1]]
 
     def test_zero_distance(self, open5):
         assert bfs_distance(open5, (2, 2), (2, 2)) == 0
@@ -271,9 +265,9 @@ class TestDistances:
 
             def dist(a, b):
                 if a not in field_cache:
-                    field_cache[a] = distance_field(grid, a)
-                d = field_cache[a][b[1], b[0]]
-                return None if d < 0 else int(d)
+                    field_cache[a] = model._bfs(grid, a)
+                d = field_cache[a][grid.index(b)]
+                return None if d < 0 else d
 
             for _ in range(60):
                 u, v, w = (rng.choice(cells) for _ in range(3))
