@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .logspace import LOG2_3, Log2Value
+from .logspace import Log2Value
 from .mdd import analytic_size_bound, radius_size_bound
+from .recurrence import induction_bound
 
 EDGE_MODES = ("none", "grid", "general")
 OBJECTIVES = ("makespan", "soc")
@@ -96,9 +97,7 @@ def bound_radius_mdd(k: int, radius: int, delta: int, n: int) -> Log2Value:
 
 def bound_rec_induction(inputs: BoundInputs) -> Log2Value:
     """Recurrence bound closed by induction: 3 * (kM)**(kC)."""
-    s = inputs.positive_budget
-    r = inputs.k * inputs.effective_m
-    return Log2Value(LOG2_3 + s * math.log2(r))
+    return induction_bound(inputs.k * inputs.effective_m, inputs.positive_budget)
 
 
 def bound_rec_genfunc(inputs: BoundInputs, grid_mdd: bool = False) -> Log2Value:
@@ -118,7 +117,7 @@ def bound_rec_genfunc(inputs: BoundInputs, grid_mdd: bool = False) -> Log2Value:
 
 def display_exponent(value: Log2Value) -> int:
     """Order-of-magnitude display: ceiling of log10 of the log2 value."""
-    if value.zero or value.log2 <= 0.0:
+    if value.log2 <= 0.0:
         raise ValueError("display exponent needs a bound larger than 2**1")
     return math.ceil(math.log10(value.log2))
 

@@ -101,8 +101,8 @@ class SolveStats:
     negative_applied: int
     positive_applied: int
     optimal_cost: int
-    low_level_calls: int = 0
-    conflict_steps_scanned: int = 0
+    low_level_calls: int
+    conflict_steps_scanned: int
 
 
 @dataclass(frozen=True)
@@ -407,8 +407,7 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
             raise UnsolvableError(f"agent {i} has no path within horizon {horizon}")
     root = make_node(frozenset(), root_paths, 0, {}, range(max(map(len, root_paths))))
 
-    seq = 0
-    open_heap = [(root.cost, root.n_conflicts, seq, root)]
+    open_heap = [(root.cost, root.n_conflicts, 0, root)]
     generated, expanded, max_depth = 1, 0, 0
     negative_applied = positive_applied = 0
 
@@ -465,8 +464,7 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
             kept = {t: c for t, c in node.by_step.items() if t < end and t not in stale}
             steps = sorted(t for t in stale if t < end)
             child = make_node(constraints, tuple(paths), node.depth + 1, kept, steps)
-            seq += 1
-            heapq.heappush(open_heap, (child.cost, child.n_conflicts, seq, child))
+            heapq.heappush(open_heap, (child.cost, child.n_conflicts, generated, child))
             generated += 1
             max_depth = max(max_depth, child.depth)
             if constraint.sign == "negative":

@@ -25,7 +25,7 @@ from .cbs import (
     solve,
     validate,
 )
-from .model import Cell, ParseError, parse_map, parse_scen
+from .model import Cell, parse_map, parse_scen
 
 SCHEMA_VERSION = 1
 
@@ -321,11 +321,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ParseError,
         UnsolvableError,
         BoundViolationError,
         InvalidSolutionError,
         ValueError,
+        OverflowError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

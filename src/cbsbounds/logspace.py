@@ -1,9 +1,10 @@
 """Base-2 log-space magnitudes.
 
 Bound values in this package routinely reach 2**(10**7) and beyond, far past
-the range of any fixed-width number type. A :class:`Log2Value` stores the
-base-2 logarithm of a nonnegative magnitude; magnitudes are added with
-log-sum-exp so nothing ever overflows.
+the range of any fixed-width number type, so every bound is carried as its
+base-2 logarithm, a :class:`Log2Value`. Callers do their arithmetic on
+``.log2``: a product is a sum of logs, and :func:`log2_add` adds two
+magnitudes with log-sum-exp so nothing ever overflows.
 """
 
 from __future__ import annotations
@@ -39,62 +40,6 @@ def log2_add(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class Log2Value:
-    """A nonnegative magnitude represented by its base-2 logarithm.
+    """A positive magnitude represented by its base-2 logarithm."""
 
-    ``zero`` marks an exact 0, whose logarithm is undefined; it behaves as the
-    additive identity and annihilates products.
-    """
-
-    log2: float = 0.0
-    zero: bool = False
-
-    @classmethod
-    def from_int(cls, n: int) -> "Log2Value":
-        if n == 0:
-            return cls(0.0, zero=True)
-        return cls(log2_of_int(n))
-
-    @classmethod
-    def from_float(cls, x: float) -> "Log2Value":
-        if x < 0:
-            raise ValueError("Log2Value represents nonnegative magnitudes")
-        if x == 0:
-            return cls(0.0, zero=True)
-        return cls(math.log2(x))
-
-    def __add__(self, other: "Log2Value") -> "Log2Value":
-        # magnitude addition, not log addition
-        if self.zero:
-            return other
-        if other.zero:
-            return self
-        return Log2Value(log2_add(self.log2, other.log2))
-
-    def __mul__(self, other: "Log2Value") -> "Log2Value":
-        if self.zero or other.zero:
-            return Log2Value(0.0, zero=True)
-        return Log2Value(self.log2 + other.log2)
-
-    def _key(self) -> float:
-        return -math.inf if self.zero else self.log2
-
-    def __lt__(self, other: "Log2Value") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Log2Value") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Log2Value") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Log2Value") -> bool:
-        return self._key() >= other._key()
-
-    def to_float(self) -> float:
-        """The magnitude as a float; overflows to inf past ~2**1024."""
-        if self.zero:
-            return 0.0
-        try:
-            return 2.0 ** self.log2
-        except OverflowError:
-            return math.inf
+    log2: float

@@ -46,7 +46,11 @@ class GridMap:
             raise ValueError("passable mask shape does not match dimensions")
         if not bool(self.passable.any()):
             raise ValueError("map has no passable cell")
-        self.passable.setflags(write=False)
+        # a private copy: later writes to the caller's array (or its base)
+        # must not reach the cached `steps`
+        mask = np.array(self.passable, dtype=bool)
+        mask.setflags(write=False)
+        object.__setattr__(self, "passable", mask)
 
     @property
     def n(self) -> int:
@@ -127,7 +131,7 @@ def parse_map(text: str) -> GridMap:
     if height < 1 or width < 1:
         raise ParseError("line 2: map dimensions must be positive")
 
-    mask = np.zeros((height, width), dtype=bool)
+    rows = []
     for row in range(height):
         lineno = 5 + row
         if 4 + row >= len(lines):
@@ -137,14 +141,11 @@ def parse_map(text: str) -> GridMap:
             raise ParseError(
                 f"line {lineno}: row length {len(raw)} does not match width {width}"
             )
-        for col, sym in enumerate(raw):
-            if sym in PASSABLE_CHARS:
-                mask[row, col] = True
-            elif sym in BLOCKED_CHARS:
-                mask[row, col] = False
-            else:
+        for sym in raw:
+            if sym not in PASSABLE_CHARS and sym not in BLOCKED_CHARS:
                 raise ParseError(f"line {lineno}: unknown symbol {sym!r}")
-    return GridMap(width, height, mask)
+        rows.append([sym in PASSABLE_CHARS for sym in raw])
+    return GridMap(width, height, np.array(rows, dtype=bool))
 
 
 def serialize_map(grid: GridMap) -> str:

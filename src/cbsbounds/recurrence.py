@@ -53,27 +53,6 @@ def _check_args(r: int, s: int) -> None:
         raise ValueError("budgets must be nonnegative")
 
 
-def _exact_rows(r_max: int, s_max: int) -> Iterator[list[int]]:
-    """Yield rows T(i, 0..s_max) for i = 0..r_max.
-
-    Row i depends on row i-1 at the same s and row i-2 shifted by one in s, so
-    two rolling rows suffice.
-    """
-    row0 = [1] * (s_max + 1)
-    yield row0
-    if r_max == 0:
-        return
-    row1 = [1] + [3] * s_max
-    yield row1
-    prev2, prev1 = row0, row1
-    for _ in range(2, r_max + 1):
-        cur = [1] * (s_max + 1)
-        for j in range(1, s_max + 1):
-            cur[j] = prev1[j] + prev2[j - 1] + 1
-        yield cur
-        prev2, prev1 = prev1, cur
-
-
 def _families(r: int, s: int) -> tuple[tuple[int, int, int], ...]:
     """The closed form's three sums as (n, j, count): the nonzero terms
     C(n-b, j+b) for b = 0..count-1. The sums also give the base cases
@@ -113,7 +92,14 @@ def eval_exact_table(r_max: int, s_max: int) -> list[list[int]]:
             f"exact table of {cells} cells exceeds the {_TABLE_MAX_CELLS}-cell "
             f"limit; use eval_log"
         )
-    return list(_exact_rows(r_max, s_max))
+    table = [[1] * (s_max + 1) for _ in range(r_max + 1)]
+    if r_max:
+        table[1][1:] = [3] * s_max
+    for i in range(2, r_max + 1):
+        cur, prev1, prev2 = table[i], table[i - 1], table[i - 2]
+        for j in range(1, s_max + 1):
+            cur[j] = prev1[j] + prev2[j - 1] + 1
+    return table
 
 
 def eval_log(r: int, s: int) -> Log2Value:

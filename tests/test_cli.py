@@ -52,6 +52,21 @@ class TestDispatch:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--n", str(10**310), "--k", "1", "--c", "1"],
+            ["recurrence", "--r", str(10**400), "--s", "2", "--backend", "log"],
+            ["genfunc", "--linear", str(10**400), "--s", "3"],
+            ["genfunc", "--r", str(10**400), "--s", "3"],
+        ],
+        ids=["bounds", "recurrence-log", "genfunc-linear", "genfunc-points"],
+    )
+    def test_float_overflow_exit_1(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestRecurrenceCommand:
     def test_exact_value(self, capsys):
@@ -168,6 +183,17 @@ class TestMddCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "node limit" in err
+
+    def test_huge_header_exit_1(self, capsys, tmp_path):
+        map_path = tmp_path / "huge.map"
+        map_path.write_text("type octile\nheight 1000000\nwidth 1000000\nmap\n..\n")
+        code, out, err = run_cli(
+            capsys,
+            "mdd", "--map", str(map_path), "--start", "0,0", "--goal", "1,0", "--c", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 5: row length 2 does not match width 1000000\n"
 
 
 class TestGenfuncCommand:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cbsbounds import Log2Value, log2_add, log2_of_int
+from cbsbounds import log2_add, log2_of_int
 
 
 def test_log2_of_int_small():
@@ -44,25 +44,3 @@ def test_log2_add_commutative_associative():
 
 def test_log2_add_extreme_spread():
     assert log2_add(1e9, 0.0) == 1e9
-
-
-def test_log2value_arithmetic_and_order():
-    two = Log2Value.from_int(2)
-    six = Log2Value.from_int(2) * Log2Value.from_int(3)
-    assert six.log2 == pytest.approx(math.log2(6))
-    total = Log2Value.from_int(5) + Log2Value.from_int(3)
-    assert total.log2 == pytest.approx(3.0)
-    zero = Log2Value.from_int(0)
-    assert zero.zero
-    assert (zero + two).log2 == two.log2
-    assert (zero * two).zero
-    assert zero < two < six
-    assert Log2Value.from_float(0.25).log2 == -2.0
-    with pytest.raises(ValueError):
-        Log2Value.from_float(-1.0)
-
-
-def test_to_float_roundtrip():
-    assert Log2Value.from_float(12.5).to_float() == pytest.approx(12.5)
-    assert Log2Value(1e9).to_float() == math.inf
-    assert Log2Value.from_int(0).to_float() == 0.0

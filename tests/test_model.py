@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cbsbounds import (
+    GridMap,
     Instance,
     ParseError,
     bfs_distance,
@@ -76,6 +77,10 @@ class TestParseMap:
             (["type octile", "height 1", "width 3", "map", ".."], "line 5"),
             (["type octile", "height 1", "width 2", "map", ".z"], "line 5"),
             (["type octile", "height 2", "width 2", "map", ".."], "line 6"),
+            (
+                ["type octile", "height 1000000", "width 1000000", "map", ".."],
+                "line 5: row length 2 does not match width 1000000",
+            ),
         ],
     )
     def test_errors_name_line(self, lines, fragment):
@@ -156,6 +161,19 @@ def assert_field_matches_dijkstra(grid, source):
 
 
 class TestLayout:
+    def test_callers_mask_stays_writable(self):
+        mask = np.ones((2, 2), dtype=bool)
+        grid = GridMap(2, 2, mask)
+        mask[0, 0] = False
+        assert grid.n == 4 and grid.is_passable((0, 0))
+
+    def test_view_of_a_writable_base_is_copied(self):
+        base = np.ones((2, 3), dtype=bool)
+        grid = GridMap(2, 2, base[:, :2])
+        grid.steps  # fills the cache before the write
+        base[0, 0] = False
+        assert grid.n == 4 and grid.is_passable((0, 0))
+
     def test_steps_are_the_four_neighbours(self):
         rng = random.Random(37)
         shapes = [(1, 1), (1, 7), (7, 1), (5, 3), (3, 5), (1, 6), (6, 1)]
