@@ -38,17 +38,17 @@ def main() -> None:
     m, e = mdd_size(diagram)
     bound = analytic_size_bound(cost)
     print(f"\ntotal nodes M = {m}, edges E = {e} (E <= 5M = {5 * m})")
-    print(f"cubic bound (C^3+6C^2+8C)/6 = {bound.value}")
+    print(f"cubic bound (C^3+6C^2+8C)/6 = {bound}")
     print(
         "each counted layer misses only the center cell, so "
-        f"M <= bound + {cost // 2 + 1} holds: {m <= bound.value + cost // 2 + 1}"
+        f"M <= bound + {cost // 2 + 1} holds: {m <= bound + cost // 2 + 1}"
     )
 
     r, center_cell = radius(grid)
     print(f"\ngrid radius = {r} (center {center_cell})")
     for delta in (0, 2, 5):
         rb = radius_size_bound(r, delta, grid.n)
-        print(f"radius bound at C = 2r+{delta}: {rb.value}")
+        print(f"radius bound at C = 2r+{delta}: {rb}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from cbsbounds import (
 def main() -> None:
     series = expand_series(10, 6)
     agree = all(
-        series.coeff(r, s) == eval_exact(r, s)
+        series[r][s] == eval_exact(r, s)
         for r in range(11)
         for s in range(7)
     )
@@ -44,7 +44,7 @@ def main() -> None:
             value = contribution_single(p, r, s)
         print(
             f"  {p.label} ({p.kind:8s}) at ({p.x:.6f}, {p.y:.6f}) "
-            f"contributes log2 = {value.value.log2:.4f}"
+            f"contributes log2 = {value.log2:.4f}"
         )
     print(f"  golden-ratio prefactor constant = {multiple_point_constant():.6f}")
 

@@ -10,10 +10,8 @@ a reference CBS solver.
 from .bounds import (
     BoundInputs,
     BoundReport,
-    bound_grid_mdd,
     bound_mdd_exponential,
     bound_original,
-    bound_radius_mdd,
     bound_rec_genfunc,
     bound_rec_induction,
     compare,
@@ -25,6 +23,7 @@ from .cbs import (
     Conflict,
     Constraint,
     CtNode,
+    SearchLimitError,
     SolveStats,
     UnsolvableError,
     Violation,
@@ -35,8 +34,6 @@ from .cbs import (
     validate,
 )
 from .genfunc import (
-    BivariateSeries,
-    Contribution,
     CriticalPoint,
     approx_linear,
     contribution_multiple,
@@ -54,10 +51,8 @@ from .genfunc import (
 from .logspace import LOG2_3, Log2Value, log2_add, log2_of_int
 from .mdd import (
     Mdd,
-    MddSizeBound,
     analytic_size_bound,
     build_mdd,
-    constraint_space_size,
     layer_bound,
     mdd_counts,
     mdd_size,

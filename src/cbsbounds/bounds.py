@@ -85,16 +85,6 @@ def bound_mdd_exponential(k: int, m: int) -> Log2Value:
     return Log2Value(float(k * m))
 
 
-def bound_grid_mdd(k: int, cost: int) -> Log2Value:
-    """2**(k M) with the cubic open-grid MDD bound for M."""
-    return bound_mdd_exponential(k, analytic_size_bound(cost).value)
-
-
-def bound_radius_mdd(k: int, radius: int, delta: int, n: int) -> Log2Value:
-    """2**(k M) with the radius-refined MDD bound for M."""
-    return bound_mdd_exponential(k, radius_size_bound(radius, delta, n).value)
-
-
 def bound_rec_induction(inputs: BoundInputs) -> Log2Value:
     """Recurrence bound closed by induction: 3 * (kM)**(kC)."""
     return induction_bound(inputs.k * inputs.effective_m, inputs.positive_budget)
@@ -177,9 +167,10 @@ def compare(inputs: BoundInputs, radius: Optional[int] = None) -> BoundReport:
     org = bound_original(inputs)
     rec_ind = bound_rec_induction(inputs)
     rec_gf = bound_rec_genfunc(inputs)
-    mdd_cube = bound_grid_mdd(inputs.k, inputs.C)
+    mdd_cube = bound_mdd_exponential(inputs.k, analytic_size_bound(inputs.C))
     rad = None
     if radius is not None and inputs.C >= 2 * radius:
-        rad = bound_radius_mdd(inputs.k, radius, inputs.C - 2 * radius, inputs.n)
+        m = radius_size_bound(radius, inputs.C - 2 * radius, inputs.n)
+        rad = bound_mdd_exponential(inputs.k, m)
     ratio = Log2Value(org.log2 - rec_gf.log2)
     return BoundReport(inputs, org, rec_ind, rec_gf, mdd_cube, rad, ratio)

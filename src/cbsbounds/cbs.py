@@ -14,6 +14,7 @@ move that leaves u at t-1 and arrives at v at t, so t >= 1 always.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import eq, ne
@@ -24,6 +25,13 @@ from .logspace import log2_of_int
 from .mdd import _field_counts
 from .model import Cell, Instance, Path, _bfs, path_cost
 from .recurrence import eval_log
+
+
+# Most conflict-tree nodes solve generates. Classic splitting on README's
+# 8-cell corridor with a bay reaches the limit in 7 s on a shared 2-core
+# host, at 130 MiB peak RSS: about 2 KiB per node over the 30 MiB of a
+# process that has imported the package and numpy.
+_CT_MAX_NODES = 5 * 10**4
 
 
 class UnsolvableError(RuntimeError):
@@ -103,6 +111,18 @@ class SolveStats:
     optimal_cost: int
     low_level_calls: int
     conflict_steps_scanned: int
+
+
+class SearchLimitError(RuntimeError):
+    """The conflict tree would pass ``_CT_MAX_NODES`` generated nodes.
+
+    ``stats`` holds the counters at that point; its ``optimal_cost`` is the
+    cost of the node being expanded, a lower bound on the optimum.
+    """
+
+    def __init__(self, message: str, stats: SolveStats):
+        super().__init__(message)
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -364,7 +384,8 @@ def _branches(conflict: Conflict, splitting: str) -> list[Constraint]:
 
 def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, ...], SolveStats]:
     """Optimal-makespan CBS. Deterministic: ties break on conflict count then
-    generation order; conflicts resolve earliest-time first."""
+    generation order; conflicts resolve earliest-time first. Raises
+    SearchLimitError rather than generate more than ``_CT_MAX_NODES`` nodes."""
     if splitting not in ("classic", "disjoint"):
         raise ValueError(f"unknown splitting {splitting!r}")
     grid = instance.map
@@ -373,7 +394,8 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
     dists = [fields[i][grid.index(s)] for i, (s, _) in enumerate(instance.agents)]
     if -1 in dists:
         raise UnsolvableError(f"agent {dists.index(-1)} cannot reach its goal")
-    horizon = grid.n + k * max(dists)
+    # a shortest joint plan repeats no configuration (proof in README)
+    horizon = math.perm(grid.n, k) - 1
 
     calls = scanned = 0
 
@@ -411,21 +433,23 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
     generated, expanded, max_depth = 1, 0, 0
     negative_applied = positive_applied = 0
 
+    def stats(cost) -> SolveStats:
+        return SolveStats(
+            generated,
+            expanded,
+            max_depth,
+            negative_applied,
+            positive_applied,
+            cost,
+            calls,
+            scanned,
+        )
+
     while open_heap:
         _, _, _, node = heapq.heappop(open_heap)
         expanded += 1
         if node.conflict is None:
-            stats = SolveStats(
-                generated,
-                expanded,
-                max_depth,
-                negative_applied,
-                positive_applied,
-                node.cost,
-                calls,
-                scanned,
-            )
-            return node.paths, stats
+            return node.paths, stats(node.cost)
         # Every path of a node satisfies every constraint of that node: the
         # low level honours them all, and `replan` holds each agent whose
         # path can break the new one. A negative constraint binds only its
@@ -453,6 +477,12 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
                     break
             if None in paths:
                 continue
+            if generated == _CT_MAX_NODES:
+                raise SearchLimitError(
+                    f"conflict tree reached the {_CT_MAX_NODES}-node limit "
+                    f"at cost {node.cost}",
+                    stats(node.cost),
+                )
             # a step keeps the parent's conflicts unless a replanned agent's
             # cell changed at it or at the step before, or it lies past the
             # parent's last step (proof in README)

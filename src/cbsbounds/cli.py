@@ -20,6 +20,7 @@ from . import bounds as bounds_mod
 from . import genfunc, mdd, recurrence
 from .cbs import (
     BoundViolationError,
+    SearchLimitError,
     UnsolvableError,
     empirical_bound_check,
     solve,
@@ -74,7 +75,7 @@ def cmd_genfunc(args) -> int:
         writer.writerow(["r", "s", "coefficient"])
         for r in range(r_max + 1):
             for s in range(s_max + 1):
-                writer.writerow([r, s, series.coeff(r, s)])
+                writer.writerow([r, s, series[r][s]])
         return 0
     if args.linear is not None:
         if args.s is None:
@@ -95,7 +96,7 @@ def cmd_genfunc(args) -> int:
             value = genfunc.contribution_single(point, args.r, args.s)
         print(
             f"{point.label} {point.kind} x={_fmt(point.x)} y={_fmt(point.y)} "
-            f"log2={_fmt(value.value.log2)}"
+            f"log2={_fmt(value.log2)}"
         )
     return 0
 
@@ -189,6 +190,18 @@ def _plot_s(mode: str, n: int) -> int:
 def cmd_plot(args) -> int:
     if args.n_min < 4 or args.n_max < args.n_min:
         raise ValueError("requires 4 <= n-min <= n-max")
+    # each row's eval_log sums about 3 * min(s, n*s // 2 + 1) terms; stop
+    # counting once the whole plot is over eval_log's own per-call limit
+    terms = 0
+    for n in range(args.n_min, args.n_max + 1):
+        s = _plot_s(args.mode, n)
+        terms += min(s, n * s // 2 + 1)
+        if terms > recurrence._LOG_MAX_TERMS:
+            raise ValueError(
+                f"plot rows n = {args.n_min}..{args.n_max} each sum about "
+                f"3 * min(s, n*s // 2 + 1) log terms; the total of "
+                f"min(s, n*s // 2 + 1) is limited to {recurrence._LOG_MAX_TERMS}"
+            )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         [
@@ -322,6 +335,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         UnsolvableError,
+        SearchLimitError,
         BoundViolationError,
         InvalidSolutionError,
         ValueError,

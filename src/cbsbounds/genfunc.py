@@ -86,24 +86,12 @@ def hessian_det(x: float, y: float) -> float:
     return p.hxx * p.hyy - p.hxy * p.hxy
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Dense coefficient table of the series expansion of G / H."""
-
-    r_max: int
-    s_max: int
-    coefficients: tuple[tuple[int, ...], ...]
-
-    def coeff(self, r: int, s: int) -> int:
-        return self.coefficients[r][s]
-
-
 _SERIES_MAX_CELLS = 10**6
 
 
-def expand_series(r_max: int, s_max: int) -> BivariateSeries:
-    """Exact power-series coefficients of G / H up to the caps; refuses
-    tables of more than 10**6 cells.
+def expand_series(r_max: int, s_max: int) -> list[list[int]]:
+    """Exact power-series coefficients of G / H up to the caps, indexed
+    ``[r][s]``; refuses tables of more than 10**6 cells.
 
     H has constant term 1, so its formal inverse exists and the coefficients
     follow from the convolution identity H * (G / H) = G.
@@ -124,9 +112,7 @@ def expand_series(r_max: int, s_max: int) -> BivariateSeries:
                 if a <= r and b <= s:
                     acc -= c * table[r - a][s - b]
             table[r][s] = acc
-    return BivariateSeries(
-        r_max, s_max, tuple(tuple(row) for row in table)
-    )
+    return table
 
 
 @dataclass(frozen=True)
@@ -137,14 +123,6 @@ class CriticalPoint:
     y: float
     kind: str  # "multiple" | "single"
     label: str  # "q1" | "q2" | "q3"
-
-
-@dataclass(frozen=True)
-class Contribution:
-    """The asymptotic factor a critical point contributes at given budgets."""
-
-    point: CriticalPoint
-    value: Log2Value
 
 
 _GRADIENT_TOL = 1e-9
@@ -199,7 +177,7 @@ def _system_residual(point: CriticalPoint, r: int, s: int) -> float:
     )
 
 
-def contribution_multiple(point: CriticalPoint, r: int, s: int) -> Contribution:
+def contribution_multiple(point: CriticalPoint, r: int, s: int) -> Log2Value:
     """x^-r y^-s G / sqrt(-x^2 y^2 D) at a multiple point."""
     if point.kind != "multiple":
         raise ValueError(f"{point.label} is not a multiple point")
@@ -215,7 +193,7 @@ def contribution_multiple(point: CriticalPoint, r: int, s: int) -> Contribution:
         + math.log2(eval_G(x, y))
         - 0.5 * math.log2(arg)
     )
-    return Contribution(point, Log2Value(log2v))
+    return Log2Value(log2v)
 
 
 def q_term(x: float, y: float) -> float:
@@ -232,7 +210,7 @@ def q_term(x: float, y: float) -> float:
     )
 
 
-def contribution_single(point: CriticalPoint, r: int, s: int) -> Contribution:
+def contribution_single(point: CriticalPoint, r: int, s: int) -> Log2Value:
     """G / sqrt(2 pi) * x^-r y^-s * sqrt(-y H_y / (s Q)) at the smooth point."""
     if point.kind != "single":
         raise ValueError(f"{point.label} is not a single point")
@@ -254,7 +232,7 @@ def contribution_single(point: CriticalPoint, r: int, s: int) -> Contribution:
         - s * math.log2(y)
         + 0.5 * math.log2(inner)
     )
-    return Contribution(point, Log2Value(log2v))
+    return Log2Value(log2v)
 
 
 def crossover_ratio() -> float:
@@ -280,7 +258,7 @@ def approx_linear(n: int, s: int) -> Log2Value:
         raise ValueError("requires n >= 1 and s >= 1")
     if n < crossover_ratio():
         golden = contribution_multiple(q1(), n * s, s)
-        return Log2Value(log2_add(0.0, golden.value.log2))
+        return Log2Value(log2_add(0.0, golden.log2))
     r = n * s
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -288,7 +266,7 @@ def approx_linear(n: int, s: int) -> Log2Value:
     smooth = points[-1]
     if smooth.label != "q3":
         raise ArithmeticError(f"smooth point missing at n={n}, s={s}")
-    return contribution_single(smooth, r, s).value
+    return contribution_single(smooth, r, s)
 
 
 def single_point_growth_base(n: int) -> float:
@@ -300,4 +278,4 @@ def single_point_growth_base(n: int) -> float:
 
 def multiple_point_constant() -> float:
     """The constant multiplying phi**r in the golden-ratio contribution."""
-    return 2.0 ** contribution_multiple(q1(), 0, 0).value.log2
+    return 2.0 ** contribution_multiple(q1(), 0, 0).log2

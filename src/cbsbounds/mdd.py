@@ -40,19 +40,6 @@ class Mdd:
     edges: tuple[dict[Cell, tuple[Cell, ...]], ...]
 
 
-@dataclass(frozen=True)
-class MddSizeBound:
-    """A closed-form node-count bound for one cost value."""
-
-    cost: int
-    value: int
-    variant: str  # "analytic-grid" | "radius-based" | "with-edges"
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("bound value must be nonnegative")
-
-
 def _distance_lists(
     grid: GridMap, start: Cell, goal: Cell, cost: int, fields=None
 ) -> tuple[list[int], list[int]]:
@@ -201,7 +188,7 @@ def layer_bound(t: int) -> int:
     return 2 * t * (t + 1)
 
 
-def analytic_size_bound(cost: int) -> MddSizeBound:
+def analytic_size_bound(cost: int) -> int:
     """Cubic total-size bound on open grids, (C^3 + 6C^2 + 8C) / 6 for even C;
     odd C adds one middle-layer term on top of the even formula at C - 1.
 
@@ -214,17 +201,15 @@ def analytic_size_bound(cost: int) -> MddSizeBound:
     if cost < 0:
         raise ValueError("cost must be nonnegative")
     if cost == 0:
-        value = 1
-    elif cost % 2 == 0:
-        value = (cost**3 + 6 * cost**2 + 8 * cost) // 6
-    else:
-        even = cost - 1
-        mid = (cost + 1) // 2
-        value = (even**3 + 6 * even**2 + 8 * even) // 6 + 2 * mid * (mid + 1)
-    return MddSizeBound(cost, value, "analytic-grid")
+        return 1
+    if cost % 2 == 0:
+        return (cost**3 + 6 * cost**2 + 8 * cost) // 6
+    even = cost - 1
+    mid = (cost + 1) // 2
+    return (even**3 + 6 * even**2 + 8 * even) // 6 + 2 * mid * (mid + 1)
 
 
-def radius_size_bound(radius: int, delta: int, n: int) -> MddSizeBound:
+def radius_size_bound(radius: int, delta: int, n: int) -> int:
     """Radius-refined bound delta*n + (4/3) r (r+1) (r+2) for C = 2r + delta.
 
     Evaluated in exact rationals and rounded up: a bound must never
@@ -235,21 +220,11 @@ def radius_size_bound(radius: int, delta: int, n: int) -> MddSizeBound:
     if radius < 0 or delta < 0 or n < 1:
         raise ValueError("requires radius >= 0, delta >= 0, n >= 1")
     if radius == 0:
-        value = (delta + 1) * n
-    else:
-        value = Fraction(4, 3) * radius * (radius + 1) * (radius + 2) + delta * n
-    return MddSizeBound(2 * radius + delta, math.ceil(value), "radius-based")
+        return (delta + 1) * n
+    return math.ceil(Fraction(4, 3) * radius * (radius + 1) * (radius + 2) + delta * n)
 
 
-def with_edges_bound(cost: int) -> MddSizeBound:
+def with_edges_bound(cost: int) -> int:
     """Vertex-and-edge constraint-space bound: out-degree on a grid is at most
     five (four moves plus wait), so nodes + edges <= 6 * node bound."""
-    base = analytic_size_bound(cost)
-    return MddSizeBound(cost, 6 * base.value, "with-edges")
-
-
-def constraint_space_size(mdd: Mdd, include_edges: bool = False) -> int:
-    """Number of distinct constraints the MDD admits: its nodes, optionally
-    plus its edges."""
-    m, e = mdd_size(mdd)
-    return m + e if include_edges else m
+    return 6 * analytic_size_bound(cost)

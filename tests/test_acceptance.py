@@ -78,7 +78,7 @@ def test_criterion_01_series_equals_recurrence():
         (r, s)
         for r in range(41)
         for s in range(21)
-        if series.coeff(r, s) != table[r][s]
+        if series[r][s] != table[r][s]
     ]
     elapsed = time.time() - t0
     ok = not mismatches and elapsed < 60
@@ -120,10 +120,10 @@ def test_criterion_04_constant_reproduction():
         "D(q1)": (hessian_det(q1().x, q1().y), (15.0 * SQRT5 - 35.0) / 2.0),
         "D(q2)": (hessian_det(1.0, 1.0), -1.0),
         "const": (
-            2.0 ** contribution_multiple(q1(), 0, 0).value.log2,
+            2.0 ** contribution_multiple(q1(), 0, 0).log2,
             4.0 / (3.0 * SQRT5 - 5.0),
         ),
-        "T(q2)": (2.0 ** contribution_multiple(q2(), 17, 5).value.log2, 1.0),
+        "T(q2)": (2.0 ** contribution_multiple(q2(), 17, 5).log2, 1.0),
     }
     bad = {
         name: (got, want)
@@ -155,7 +155,7 @@ def test_criterion_06_asymptotic_tightness():
     def gap(s: int) -> float:
         exact = log2_of_int(eval_exact(10 * s, s))
         points = solve_critical_points(10 * s, s)
-        approx = contribution_single(points[-1], 10 * s, s).value.log2
+        approx = contribution_single(points[-1], 10 * s, s).log2
         return abs(exact - approx) / exact
 
     g20, g200 = gap(20), gap(200)
@@ -226,7 +226,7 @@ def test_criterion_09_mdd_bounds_and_radius():
             if len(diagram.layers[t]) != 2 * t * (t + 1) + 1:
                 layer_bad.append((cost, t))
         exact = mdd_size(diagram)[0]
-        if exact > analytic_size_bound(cost).value + (cost // 2 + 1):
+        if exact > analytic_size_bound(cost) + (cost // 2 + 1):
             size_bad.append(cost)
     radius_bad = [m for m in (3, 5, 7, 9) if radius(open_grid(m))[0] != m - 1]
     elapsed = time.time() - t0

@@ -6,10 +6,9 @@ import pytest
 
 from cbsbounds import (
     BoundInputs,
-    bound_grid_mdd,
+    analytic_size_bound,
     bound_mdd_exponential,
     bound_original,
-    bound_radius_mdd,
     bound_rec_genfunc,
     bound_rec_induction,
     compare,
@@ -17,6 +16,7 @@ from cbsbounds import (
     eval_exact,
     layer_bound,
     log2_of_int,
+    radius_size_bound,
     Log2Value,
 )
 
@@ -63,10 +63,10 @@ class TestMddExponential:
         # M from the cubic grid bound at C=120, doubled-checked by layer sums
         m = 2 * sum(layer_bound(t) for t in range(1, 61))
         assert m == 302_560
-        assert bound_grid_mdd(8, 120).log2 == 8.0 * m
+        assert bound_mdd_exponential(8, analytic_size_bound(120)).log2 == 8.0 * m
 
     def test_radius_bound_realization(self):
-        v = bound_radius_mdd(8, 60, 0, 3721)
+        v = bound_mdd_exponential(8, radius_size_bound(60, 0, 3721))
         assert v.log2 == 8.0 * (4 * 60 * 61 * 62 // 3)
 
     def test_rejects_bad_args(self):

@@ -11,6 +11,7 @@ from cbsbounds import (
     Constraint,
     GridMap,
     Instance,
+    SearchLimitError,
     UnsolvableError,
     bfs_distance,
     build_mdd,
@@ -329,6 +330,51 @@ class TestSolve:
         assert validate(instance, paths) is None
         report = empirical_bound_check(instance, stats)
         assert report.margins["recurrence"] >= 0
+
+
+def corridor_with_bay(length, bay):
+    """A corridor along y = 1 with one bay cell above x = bay; the two agents
+    at its left end swap places, so one of them must wait in the bay."""
+    grid = grid_from_rows(
+        ["".join("." if x == bay else "@" for x in range(length)), "." * length]
+    )
+    return Instance(grid, (((0, 1), (1, 1)), ((1, 1), (0, 1))))
+
+
+class TestSearchLimit:
+    @pytest.mark.parametrize("splitting", ["classic", "disjoint"])
+    def test_bay_corridor_stops_at_the_limit(self, splitting, monkeypatch):
+        # at the default limit classic splitting runs 50,000 nodes here
+        monkeypatch.setattr(cbs, "_CT_MAX_NODES", 100)
+        with pytest.raises(SearchLimitError, match="100-node limit") as caught:
+            solve(corridor_with_bay(7, 5), splitting)
+        stats = caught.value.stats
+        assert stats.generated == 100
+        assert 1 <= stats.expanded <= stats.generated
+        # the node being expanded: a lower bound on the optimum, 11
+        assert 1 <= stats.optimal_cost <= 11
+
+    @pytest.mark.parametrize(
+        "length, bay", [(n, b) for n in range(4, 8) for b in range(1, n - 1)]
+    )
+    def test_solve_matches_joint_oracle_or_stops(self, length, bay, monkeypatch):
+        # the optimum of (7, 5) is 11, above the former cap n + k * max d =
+        # 10, under which disjoint splitting emptied its tree after 3,467
+        # nodes and raised UnsolvableError; 4,000 nodes keep that in reach
+        monkeypatch.setattr(cbs, "_CT_MAX_NODES", 4000)
+        instance = corridor_with_bay(length, bay)
+        oracle = joint_bfs_makespan(
+            instance.map,
+            [s for s, _ in instance.agents],
+            [g for _, g in instance.agents],
+        )
+        assert oracle is not None
+        for splitting in ("classic", "disjoint"):
+            try:
+                _, stats = solve(instance, splitting)
+            except SearchLimitError:
+                continue
+            assert stats.optimal_cost == oracle, splitting
 
 
 def contended_instances(seed, count):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import cbsbounds.cbs as cbs
 from cbsbounds import bound_original, BoundInputs, eval_exact, eval_log, serialize_map
 from cbsbounds.cli import _fmt, main
 from conftest import random_grid
@@ -304,6 +305,18 @@ class TestPlotCommand:
             assert parts[5] == _fmt(eval_log(n * s, s).log2), row
 
 
+    def test_huge_range_exit_1_fast(self, capsys):
+        # about 1.5 * 10**12 log terms, refused before the first row
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "plot", "--mode", "linear", "--n-min", "4", "--n-max", "1000000"
+        )
+        assert time.perf_counter() - start < 0.2
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: plot rows n = 4..1000000") and "limited" in err
+
+
 class TestSolveCommand:
     def test_text_output(self, capsys, pocket_files):
         map_path, scen_path = pocket_files
@@ -367,6 +380,25 @@ class TestSolveCommand:
         assert sorted(margins) == ["mdd_exponential", "recurrence"]
         assert margins["mdd_exponential"] == 3.0  # three MDD nodes, one CT node
         assert margins["recurrence"] >= 0
+
+    def test_search_limit_exit_1(self, capsys, tmp_path, monkeypatch):
+        # a corridor with one bay; classic splitting would run 50,000 nodes
+        monkeypatch.setattr(cbs, "_CT_MAX_NODES", 100)
+        map_path = tmp_path / "bay.map"
+        scen_path = tmp_path / "bay.scen"
+        map_path.write_text("type octile\nheight 2\nwidth 7\nmap\n@@@@@.@\n.......\n")
+        scen_path.write_text(
+            "version 1\n"
+            "0\tbay.map\t7\t2\t0\t1\t1\t1\t1\n"
+            "0\tbay.map\t7\t2\t1\t1\t0\t1\t1\n"
+        )
+        code, out, err = run_cli(
+            capsys, "solve", "--map", str(map_path), "--scen", str(scen_path),
+            "--agents", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: conflict tree reached the 100-node limit")
 
     def test_byte_identical_reruns(self, capsys, pocket_files):
         map_path, scen_path = pocket_files

@@ -8,7 +8,6 @@ import pytest
 from cbsbounds import (
     analytic_size_bound,
     build_mdd,
-    constraint_space_size,
     is_valid_path,
     layer_bound,
     mdd_counts,
@@ -267,25 +266,25 @@ class TestSizeBounds:
             layer_bound(-1)
 
     def test_analytic_even_values(self):
-        assert analytic_size_bound(2).value == 8
-        assert analytic_size_bound(4).value == 32
+        assert analytic_size_bound(2) == 8
+        assert analytic_size_bound(4) == 32
         # the single start = goal cell; the cubic formula alone gives 0
-        assert analytic_size_bound(0).value == 1
+        assert analytic_size_bound(0) == 1
 
     def test_analytic_matches_layer_sum(self):
         # the closed form is exactly twice the summed per-layer bounds; at
         # C = 0 that sum is empty and the bound is the start cell alone
         for cost in range(0, 21, 2):
             total = 2 * sum(layer_bound(t) for t in range(1, cost // 2 + 1))
-            assert analytic_size_bound(cost).value == max(total, 1)
+            assert analytic_size_bound(cost) == max(total, 1)
 
     def test_analytic_odd_adds_middle_layer(self):
         # C = 1 adds the middle layer to the even formula at 0, which is 0
-        assert analytic_size_bound(1).value == layer_bound(1)
+        assert analytic_size_bound(1) == layer_bound(1)
         for cost in (3, 5, 9):
             mid = (cost + 1) // 2
-            expected = analytic_size_bound(cost - 1).value + layer_bound(mid)
-            assert analytic_size_bound(cost).value == expected
+            expected = analytic_size_bound(cost - 1) + layer_bound(mid)
+            assert analytic_size_bound(cost) == expected
 
     def test_exact_within_center_undercount(self):
         # start = goal on a big open grid: the formula misses only the center
@@ -294,22 +293,21 @@ class TestSizeBounds:
             grid = open_grid(2 * cost + 1)
             center = (cost, cost)
             exact = mdd_size(build_mdd(grid, center, center, cost))[0]
-            assert exact <= analytic_size_bound(cost).value + (cost // 2 + 1)
+            assert exact <= analytic_size_bound(cost) + (cost // 2 + 1)
 
     def test_analytic_covers_start_equals_goal(self):
         grid = open_grid(25)
         for cost in range(0, 13):
             exact = mdd_size(build_mdd(grid, (12, 12), (12, 12), cost))[0]
-            assert exact <= analytic_size_bound(cost).value, cost
+            assert exact <= analytic_size_bound(cost), cost
 
     def test_radius_bound_values(self):
         # a radius-0 map is one cell, which each of the C + 1 layers holds
-        assert radius_size_bound(0, 0, 1).value == 1
-        assert radius_size_bound(0, 5, 1).value == 6
-        assert radius_size_bound(7, 0, 1).value == 672
-        assert radius_size_bound(7, 0, 1).value < 2 * 7**3
-        assert radius_size_bound(10, 3, 441).value == 1760 + 1323
-        assert radius_size_bound(10, 3, 441).cost == 23
+        assert radius_size_bound(0, 0, 1) == 1
+        assert radius_size_bound(0, 5, 1) == 6
+        assert radius_size_bound(7, 0, 1) == 672
+        assert radius_size_bound(7, 0, 1) < 2 * 7**3
+        assert radius_size_bound(10, 3, 441) == 1760 + 1323
 
     def test_radius_bound_covers_random_maps(self):
         # every start with two goals on connected random maps, C from 2r
@@ -328,7 +326,7 @@ class TestSizeBounds:
                     for cost in range(2 * r, 2 * r + 3):
                         nodes, _ = mdd_size_oracle(grid, start, goal, cost)
                         bound = radius_size_bound(r, cost - 2 * r, grid.n)
-                        assert nodes <= bound.value, (found, start, goal, cost)
+                        assert nodes <= bound, (found, start, goal, cost)
             checked += 1
             single += r == 0
         assert single > 0
@@ -337,14 +335,11 @@ class TestSizeBounds:
         diagram = build_mdd(open5, (0, 0), (4, 4), 10)
         m, e = mdd_size(diagram)
         assert e <= 5 * m
-        assert constraint_space_size(diagram) == m
-        assert constraint_space_size(diagram, include_edges=True) == m + e
-        assert constraint_space_size(diagram, include_edges=True) <= 6 * m
+        assert m + e <= 6 * m
 
     def test_with_edges_bound(self):
-        assert with_edges_bound(4).value == 6 * 32
-        assert with_edges_bound(4).variant == "with-edges"
+        assert with_edges_bound(4) == 6 * 32
 
     def test_singleton_constraint_space(self, open5):
         diagram = build_mdd(open5, (1, 1), (1, 1), 0)
-        assert constraint_space_size(diagram) == 1
+        assert mdd_size(diagram)[0] == 1
