@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .logspace import Log2Value
+from .logspace import Log2Value, check_float_range
 from .mdd import analytic_size_bound, radius_size_bound
 from .recurrence import induction_bound
 
@@ -47,6 +47,7 @@ class BoundInputs:
             raise ValueError(f"edge_mode must be one of {EDGE_MODES}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
+        check_float_range(n=self.n, k=self.k, C=self.C, M=self.M)
 
     @property
     def effective_m(self) -> int:

@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .logspace import Log2Value, log2_add
+from .logspace import Log2Value, check_float_range, log2_add
 
 SQRT5 = math.sqrt(5.0)
 GOLDEN_RATIO = (1.0 + SQRT5) / 2.0
@@ -151,6 +151,7 @@ def solve_critical_points(r: int, s: int) -> list[CriticalPoint]:
     """
     if r < 0 or s < 0:
         raise ValueError("budgets must be nonnegative")
+    check_float_range(r=r, s=s)
     points = [q1(), q2()]
     if r > 2 * s > 0:
         x3 = (r - 2 * s) / (r - s)
@@ -181,6 +182,7 @@ def contribution_multiple(point: CriticalPoint, r: int, s: int) -> Log2Value:
     """x^-r y^-s G / sqrt(-x^2 y^2 D) at a multiple point."""
     if point.kind != "multiple":
         raise ValueError(f"{point.label} is not a multiple point")
+    check_float_range(r=r, s=s)
     x, y = point.x, point.y
     arg = -(x * x) * (y * y) * hessian_det(x, y)
     if arg <= 0.0:
@@ -216,6 +218,7 @@ def contribution_single(point: CriticalPoint, r: int, s: int) -> Log2Value:
         raise ValueError(f"{point.label} is not a single point")
     if s < 1:
         raise ValueError("single-point contribution requires s >= 1")
+    check_float_range(r=r, s=s)
     x, y = point.x, point.y
     p = eval_H_partials(x, y)
     q = q_term(x, y)
@@ -256,6 +259,7 @@ def approx_linear(n: int, s: int) -> Log2Value:
     """
     if n < 1 or s < 1:
         raise ValueError("requires n >= 1 and s >= 1")
+    check_float_range(n=n, s=s, **{"n * s": n * s})
     if n < crossover_ratio():
         golden = contribution_multiple(q1(), n * s, s)
         return Log2Value(log2_add(0.0, golden.log2))

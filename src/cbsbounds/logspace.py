@@ -28,6 +28,18 @@ def log2_of_int(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
+def check_float_range(**args: int | None) -> None:
+    """Refuse, by name, the first argument past float range: the log2
+    arithmetic multiplies floats by these integers."""
+    for name, value in args.items():
+        try:
+            float(value or 0)
+        except OverflowError:
+            raise ValueError(
+                f"{name} is past float range (at most about 1.8e308)"
+            ) from None
+
+
 def log2_add(a: float, b: float) -> float:
     """log2(2**a + 2**b) without forming either power."""
     if a < b:

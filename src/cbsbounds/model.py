@@ -8,11 +8,10 @@ files. Everything here is immutable once constructed and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Iterator, Optional
-
-import numpy as np
 
 Cell = tuple[int, int]
 Path = tuple[Cell, ...]
@@ -21,48 +20,60 @@ MOVES: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 PASSABLE_CHARS = frozenset(".G")
 BLOCKED_CHARS = frozenset("@OTW")
+SYMBOLS = PASSABLE_CHARS | BLOCKED_CHARS
 
 
 class ParseError(ValueError):
     """Malformed .map / .scen input; the message names the offending line."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridMap:
     """A rectangular 4-connected grid with blocked cells.
 
-    ``passable`` is a boolean array of shape ``(height, width)`` indexed
-    ``[row, col]``; the vertex count ``n`` is the number of passable cells.
+    ``rows`` holds the mask as ``height`` tuples of ``width`` bools, indexed
+    ``[row][col]``; the vertex count ``n`` is the number of passable cells.
+    The constructor takes the mask as nested lists or a numpy array and keeps
+    its own copy, so later writes to the caller's mask change nothing here.
     """
 
     width: int
     height: int
-    passable: np.ndarray
+    rows: tuple[tuple[bool, ...], ...] = field(repr=False)
+    n: int
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+    def __init__(self, width: int, height: int, passable) -> None:
+        if width < 1 or height < 1:
             raise ValueError("map dimensions must be positive")
-        if self.passable.shape != (self.height, self.width):
+        try:
+            rows = tuple(tuple(map(bool, row)) for row in passable)
+        except TypeError:  # a flat mask, whose rows are not sequences
+            rows = ()
+        if len(rows) != height or any(len(row) != width for row in rows):
             raise ValueError("passable mask shape does not match dimensions")
-        if not bool(self.passable.any()):
+        n = sum(map(sum, rows))
+        if not n:
             raise ValueError("map has no passable cell")
-        # a private copy: later writes to the caller's array (or its base)
-        # must not reach the cached `steps`
-        mask = np.array(self.passable, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "passable", mask)
+        self.__dict__.update(width=width, height=height, rows=rows, n=n)
 
-    @property
-    def n(self) -> int:
-        """Number of passable cells (the graph's vertex count)."""
-        return int(self.passable.sum())
+    @cached_property
+    def passable(self):
+        """The mask as a read-only numpy bool array of shape
+        ``(height, width)``, indexed ``[row, col]``; numpy is imported on
+        first use."""
+        import numpy as np
+
+        mask = np.array(self.rows, dtype=bool)
+        mask.setflags(write=False)
+        return mask
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
     def is_passable(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and bool(self.passable[cell[1], cell[0]])
+        x, y = cell
+        return 0 <= x < self.width and 0 <= y < self.height and self.rows[y][x]
 
     def index(self, cell: Cell) -> int:
         """Flat id of a cell: column-major, ``x * (height + 1) + y``."""
@@ -83,19 +94,27 @@ class GridMap:
         from the left edge through negative indices) catch every step off
         the map."""
         h = self.height + 1
-        mask = np.zeros((self.width + 1, h), dtype=bool)
-        mask[:-1, :-1] = self.passable.T
-        free = mask.ravel().tolist()
+        free: list[bool] = []
+        for column in zip(*self.rows):
+            free += column
+            free.append(False)
+        free += [False] * h
         offsets = [dx * h + dy for dx, dy in MOVES]
         return tuple(
             (u, *[u + d for d in offsets if free[u + d]]) if free[u] else ()
             for u in range(self.width * h)
         )
 
+    @cached_property
+    def _cells(self) -> tuple[Cell, ...]:
+        xs, cells = range(self.width), []
+        for y, row in enumerate(self.rows):
+            cells += zip(compress(xs, row), repeat(y))
+        return tuple(cells)
+
     def cells(self) -> Iterator[Cell]:
         """Passable cells in row-major order."""
-        ys, xs = np.nonzero(self.passable)
-        return zip(xs.tolist(), ys.tolist())
+        return iter(self._cells)
 
 
 def parse_map(text: str) -> GridMap:
@@ -141,19 +160,16 @@ def parse_map(text: str) -> GridMap:
             raise ParseError(
                 f"line {lineno}: row length {len(raw)} does not match width {width}"
             )
-        for sym in raw:
-            if sym not in PASSABLE_CHARS and sym not in BLOCKED_CHARS:
-                raise ParseError(f"line {lineno}: unknown symbol {sym!r}")
-        rows.append([sym in PASSABLE_CHARS for sym in raw])
-    return GridMap(width, height, np.array(rows, dtype=bool))
+        if not SYMBOLS.issuperset(raw):
+            sym = next(sym for sym in raw if sym not in SYMBOLS)
+            raise ParseError(f"line {lineno}: unknown symbol {sym!r}")
+        rows.append(map(PASSABLE_CHARS.__contains__, raw))
+    return GridMap(width, height, rows)
 
 
 def serialize_map(grid: GridMap) -> str:
     """Emit a .map text whose passable/blocked mask round-trips bit-exactly."""
-    rows = [
-        "".join("." if grid.passable[y, x] else "@" for x in range(grid.width))
-        for y in range(grid.height)
-    ]
+    rows = ["".join("." if free else "@" for free in row) for row in grid.rows]
     head = ["type octile", f"height {grid.height}", f"width {grid.width}", "map"]
     return "\n".join(head + rows) + "\n"
 
@@ -312,6 +328,8 @@ def radius(grid: GridMap) -> tuple[int, Cell]:
     words, so memory stays bounded on large maps. Raises ValueError on a
     disconnected map.
     """
+    import numpy as np
+
     ys, xs = np.nonzero(grid.passable)
     dist = _bfs(grid, (int(xs[0]), int(ys[0])))
     if len(dist) - dist.count(-1) < grid.n:
@@ -330,9 +348,7 @@ def radius(grid: GridMap) -> tuple[int, Cell]:
     return best, center
 
 
-def _block_radius(
-    passable: np.ndarray, ys: np.ndarray, xs: np.ndarray, first: int, stop: int
-) -> Optional[tuple[int, int]]:
+def _block_radius(passable, ys, xs, first: int, stop: int) -> Optional[tuple[int, int]]:
     """BFS from every source in a block at once: ``(d, j)`` for the first
     step d in ``[first, stop)`` at which some source's ball covers every
     passable cell, j being the lowest such source; None if there is none.
@@ -341,6 +357,8 @@ def _block_radius(
     side, so a cell's four neighbours are the rows at offsets -1, +1, -W and
     +W (W the padded width), and one step is five ORs of contiguous slices
     and a mask."""
+    import numpy as np
+
     h, w = passable.shape
     width = w + 2
     pad = np.zeros((h + 2, width), dtype=bool)

@@ -40,7 +40,7 @@ import math
 from itertools import islice
 from typing import Iterator
 
-from .logspace import LN2, LOG2_3, Log2Value
+from .logspace import LN2, LOG2_3, Log2Value, check_float_range
 
 _EXACT_MAX_BITS = 2**13
 _TABLE_MAX_CELLS = 10**6
@@ -111,9 +111,10 @@ def eval_log(r: int, s: int) -> Log2Value:
     differences loses digits once n is large. A running log-sum-exp adds the
     terms in blocks of 4096, so memory stays constant; a query of at most
     that many terms is one plain log-sum-exp. Refuses min(s, r // 2 + 1) >
-    10**6, which would sum millions of terms.
+    10**6, which would sum millions of terms, and r past float range.
     """
     _check_args(r, s)
+    check_float_range(r=r)
     if min(s, r // 2 + 1) > _LOG_MAX_TERMS:
         raise ValueError(
             f"log T({r}, {s}) sums about 3 * min(s, r // 2 + 1) terms; "

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 import cbsbounds.cbs as cbs
+import cbsbounds
 from cbsbounds import bound_original, BoundInputs, eval_exact, eval_log, serialize_map
 from cbsbounds.cli import _fmt, main
 from conftest import random_grid
@@ -36,6 +40,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's ``cbsbounds``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cbsbounds.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 class TestDispatch:
     def test_no_arguments_usage_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -54,19 +67,20 @@ class TestDispatch:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, name",
         [
-            ["bounds", "--n", str(10**310), "--k", "1", "--c", "1"],
-            ["recurrence", "--r", str(10**400), "--s", "2", "--backend", "log"],
-            ["genfunc", "--linear", str(10**400), "--s", "3"],
-            ["genfunc", "--r", str(10**400), "--s", "3"],
+            (["bounds", "--n", str(10**310), "--k", "1", "--c", "1"], "n"),
+            (["recurrence", "--r", str(10**400), "--s", "2", "--backend", "log"], "r"),
+            (["genfunc", "--linear", str(10**400), "--s", "3"], "n"),
+            (["genfunc", "--r", str(10**400), "--s", "3"], "r"),
         ],
         ids=["bounds", "recurrence-log", "genfunc-linear", "genfunc-points"],
     )
-    def test_float_overflow_exit_1(self, capsys, argv):
+    def test_float_overflow_exit_1(self, capsys, argv, name):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert f"error: {name} is past float range" in err
 
 
 class TestRecurrenceCommand:
@@ -406,3 +420,59 @@ class TestSolveCommand:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+FRESH_MAIN = "import sys; from cbsbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+
+NUMPY_FREE = """
+import contextlib, io, json, sys
+import cbsbounds.cli as cli
+from cbsbounds import model
+runs, map_path = json.loads(sys.argv[1]), sys.argv[2]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy imported"
+with open(map_path, encoding="utf-8") as fh:
+    model.radius(model.parse_map(fh.read()))
+assert "numpy" in sys.modules, "radius ran without numpy"
+"""
+
+
+class TestProcess:
+    def test_numpy_stays_off_the_import_path(self, pocket_files, tmp_path):
+        map_path, scen_path = pocket_files
+        table = tmp_path / "rows.csv"
+        table.write_text("name,n,k,C\nrow,100,3,10\n")
+        runs = [
+            ["bounds", "--n", "100", "--k", "3", "--c", "10", "--json"],
+            ["table", "--input", str(table)],
+            ["recurrence", "--r", "40", "--s", "20"],
+            ["genfunc", "--r", "10", "--s", "3"],
+            ["mdd", "--map", map_path, "--start", "0,0", "--goal", "4,0", "--c", "6"],
+            ["solve", "--map", map_path, "--scen", scen_path, "--agents", "2", "--json"],
+        ]
+        done = run_python("-c", NUMPY_FREE, json.dumps(runs), map_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_reused_parser_matches_fresh_processes(self, capsys, pocket_files):
+        map_path, scen_path = pocket_files
+        solve = ["solve", "--map", map_path, "--scen", scen_path, "--agents", "2"]
+        runs = [
+            (["bounds", "--n", "100", "--k", "3", "--c", "10", "--json"], 0),
+            (["bounds", "--n", "100", "--k", "3", "--c", "10"], 0),
+            (["genfunc", "--series", "3", "3"], 0),
+            (["genfunc", "--r", "10", "--s", "3"], 0),
+            (["bounds", "--n", "100", "--json"], 2),
+            (solve + ["--disjoint", "--json"], 0),
+            (solve, 0),
+        ]
+        for argv, expected in runs:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code == expected
+            fresh = run_python("-c", FRESH_MAIN, *argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

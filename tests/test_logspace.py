@@ -2,10 +2,21 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
-from cbsbounds import log2_add, log2_of_int
+from cbsbounds import (
+    BoundInputs,
+    approx_linear,
+    contribution_multiple,
+    contribution_single,
+    eval_log,
+    log2_add,
+    log2_of_int,
+    solve_critical_points,
+)
+from cbsbounds.genfunc import q1
 
 
 def test_log2_of_int_small():
@@ -44,3 +55,20 @@ def test_log2_add_commutative_associative():
 
 def test_log2_add_extreme_spread():
     assert log2_add(1e9, 0.0) == 1e9
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: BoundInputs(n=5, k=1, C=1, M=10**400), "M"),
+        (lambda: eval_log(10**400, 2), "r"),
+        (lambda: solve_critical_points(3, 10**400), "s"),
+        (lambda: contribution_multiple(q1(), 10**400, 3), "r"),
+        (lambda: contribution_single(solve_critical_points(10, 3)[-1], 10, 10**400), "s"),
+        (lambda: approx_linear(10**200, 10**200), "n * s"),
+    ],
+    ids=["bounds-M", "eval_log-r", "points-s", "multiple-r", "single-s", "linear-ns"],
+)
+def test_past_float_range_names_the_argument(call, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} is past float range"):
+        call()

@@ -174,6 +174,23 @@ class TestLayout:
         base[0, 0] = False
         assert grid.n == 4 and grid.is_passable((0, 0))
 
+    def test_nested_list_mask_matches_array(self):
+        rng = random.Random(43)
+        for width, height in [(1, 1), (1, 6), (6, 1), (4, 3), (7, 9)]:
+            rows = [[rng.random() >= 0.3 for _ in range(width)] for _ in range(height)]
+            rows[0][0] = True
+            array = GridMap(width, height, np.array(rows, dtype=bool))
+            nested = GridMap(width, height, rows)
+            for row in rows:  # before any cached view of the mask is built
+                row[:] = [not free for free in row]
+            rows.append([True] * width)
+            assert nested.n == array.n
+            assert nested.steps == array.steps
+            assert list(nested.cells()) == list(array.cells())
+            assert serialize_map(nested) == serialize_map(array)
+            assert np.array_equal(nested.passable, array.passable)
+            assert nested.passable.dtype == bool and not nested.passable.flags.writeable
+
     def test_steps_are_the_four_neighbours(self):
         rng = random.Random(37)
         shapes = [(1, 1), (1, 7), (7, 1), (5, 3), (3, 5), (1, 6), (6, 1)]
