@@ -10,7 +10,6 @@
 """
 
 import math
-import warnings
 
 from cbsbounds import (
     approx_linear,
@@ -67,10 +66,12 @@ def main() -> None:
             f"{math.log2((1 + math.sqrt(5)) / 2):.6f}"
         )
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solve_critical_points(10, 10)
-    print(f"\nat r = s the smooth point is absent: {caught[0].message}")
+    r = s = 10
+    if len(solve_critical_points(r, s)) == 2:
+        print(
+            "\nat r = s the smooth point is absent: smooth critical point absent "
+            f"for r={r}, s={s} (needs r > 2s > 0)"
+        )
 
 
 if __name__ == "__main__":

@@ -33,11 +33,11 @@ def main() -> None:
     )
     for name, n, k, c in ROWS:
         rep = compare(BoundInputs(n=n, k=k, C=c))
-        exps = f"{rep.org_exp10}/{rep.rec_ind_exp10}/{rep.rec_gf_exp10}"
+        exps = f"{rep['org_exp10']}/{rep['rec_ind_exp10']}/{rep['rec_gf_exp10']}"
         print(
             f"{name:<12} {n:>7} {k:>4} {c:>4} "
-            f"{rep.org.log2:>14.1f} {rep.rec_ind.log2:>12.1f} "
-            f"{rep.rec_gf.log2:>12.1f} {rep.ratio_org_over_gf.log2:>14.1f} "
+            f"{rep['org_log2']:>14.1f} {rep['rec_ind_log2']:>12.1f} "
+            f"{rep['rec_gf_log2']:>12.1f} {rep['ratio_log2']:>14.1f} "
             f"{exps:>12}"
         )
     print(

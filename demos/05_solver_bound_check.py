@@ -38,14 +38,14 @@ def run(name: str, instance: Instance) -> None:
     for splitting in ("classic", "disjoint"):
         paths, stats = solve(instance, splitting)
         assert validate(instance, paths) is None
-        check = empirical_bound_check(instance, stats)
+        margins = empirical_bound_check(instance, stats)
         print(
             f"{splitting:>9}: cost={stats.optimal_cost} "
             f"generated={stats.generated} expanded={stats.expanded} "
             f"depth={stats.max_depth} neg={stats.negative_applied} "
             f"pos={stats.positive_applied}"
         )
-        for bound, margin in check.margins.items():
+        for bound, margin in margins.items():
             print(f"           margin[{bound}] = {margin:.2f} (log2)")
     for i, path in enumerate(paths):
         print(f"  agent {i}: " + "->".join(f"({x},{y})" for x, y in path))

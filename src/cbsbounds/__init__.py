@@ -9,7 +9,6 @@ a reference CBS solver.
 
 from .bounds import (
     BoundInputs,
-    BoundReport,
     bound_mdd_exponential,
     bound_original,
     bound_rec_genfunc,
@@ -18,7 +17,6 @@ from .bounds import (
     display_exponent,
 )
 from .cbs import (
-    BoundCheckReport,
     BoundViolationError,
     Conflict,
     Constraint,
@@ -64,8 +62,6 @@ from .model import (
     Instance,
     ParseError,
     ScenEntry,
-    bfs_distance,
-    is_valid_path,
     parse_map,
     parse_scen,
     path_cost,

@@ -5,7 +5,8 @@ the MDD-exponential bound 2**(kM), the recurrence-plus-induction bound
 3 * (kM)**(kC), and the recurrence-plus-generating-function bound (e n)**(kC)
 with its grid and general edge-constraint variants. A comparison report
 recomputes all of them for one (n, k, C) row the way the benchmark table does,
-including order-of-magnitude display exponents.
+including order-of-magnitude display exponents, and returns them as the dict
+the CLI prints.
 """
 
 from __future__ import annotations
@@ -48,15 +49,20 @@ class BoundInputs:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         check_float_range(n=self.n, k=self.k, C=self.C, M=self.M)
+        # the products the bounds turn into floats; the first names the edge
+        # mode's constraint base
+        base = {"none": "n", "grid": "9n", "general": "(2n^2 + n)"}[self.edge_mode]
+        check_float_range(
+            **{
+                f"{base} * k * C": _vertex_edge_base(self) * self.k * self.C,
+                "k * M": self.k * self.effective_m,
+                "k * analytic_size_bound(C)": self.k * analytic_size_bound(self.C),
+            }
+        )
 
     @property
     def effective_m(self) -> int:
         return self.M if self.M is not None else self.n * self.C
-
-    @property
-    def positive_budget(self) -> int:
-        # kC for makespan; C' = kC for sum-of-costs: identical by design
-        return self.k * self.C
 
 
 def _vertex_edge_base(inputs: BoundInputs) -> int:
@@ -88,7 +94,7 @@ def bound_mdd_exponential(k: int, m: int) -> Log2Value:
 
 def bound_rec_induction(inputs: BoundInputs) -> Log2Value:
     """Recurrence bound closed by induction: 3 * (kM)**(kC)."""
-    return induction_bound(inputs.k * inputs.effective_m, inputs.positive_budget)
+    return induction_bound(inputs.k * inputs.effective_m, inputs.k * inputs.C)
 
 
 def bound_rec_genfunc(inputs: BoundInputs, grid_mdd: bool = False) -> Log2Value:
@@ -100,7 +106,7 @@ def bound_rec_genfunc(inputs: BoundInputs, grid_mdd: bool = False) -> Log2Value:
     """
     if inputs.n < 4:
         raise ValueError("outside the n >= 4 validity range")
-    s = inputs.positive_budget
+    s = inputs.k * inputs.C
     if grid_mdd:
         return Log2Value(2.0 * s * math.log2(math.e * inputs.C))
     return Log2Value(s * math.log2(math.e * _vertex_edge_base(inputs)))
@@ -113,65 +119,32 @@ def display_exponent(value: Log2Value) -> int:
     return math.ceil(math.log10(value.log2))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All bounds for one input row, plus the original/genfunc ratio."""
+def compare(inputs: BoundInputs, radius: Optional[int] = None) -> dict:
+    """Every bound for one row, as the dict the CLI prints: the inputs with
+    M resolved, each bound's log2, the ratio org - rec_gf in log2, and the
+    display exponents of org, rec_ind and rec_gf.
 
-    inputs: BoundInputs
-    org: Log2Value
-    rec_ind: Log2Value
-    rec_gf: Log2Value
-    mdd_cube: Log2Value
-    radius_bound: Optional[Log2Value]
-    ratio_org_over_gf: Log2Value
-
-    @property
-    def org_exp10(self) -> int:
-        return display_exponent(self.org)
-
-    @property
-    def rec_ind_exp10(self) -> int:
-        return display_exponent(self.rec_ind)
-
-    @property
-    def rec_gf_exp10(self) -> int:
-        return display_exponent(self.rec_gf)
-
-    def as_dict(self) -> dict:
-        d = {
-            "n": self.inputs.n,
-            "k": self.inputs.k,
-            "C": self.inputs.C,
-            "M": self.inputs.effective_m,
-            "edge_mode": self.inputs.edge_mode,
-            "objective": self.inputs.objective,
-            "org_log2": self.org.log2,
-            "rec_ind_log2": self.rec_ind.log2,
-            "rec_gf_log2": self.rec_gf.log2,
-            "mdd_cube_log2": self.mdd_cube.log2,
-            "ratio_log2": self.ratio_org_over_gf.log2,
-            "org_exp10": self.org_exp10,
-            "rec_ind_exp10": self.rec_ind_exp10,
-            "rec_gf_exp10": self.rec_gf_exp10,
-        }
-        if self.radius_bound is not None:
-            d["radius_bound_log2"] = self.radius_bound.log2
-        return d
-
-
-def compare(inputs: BoundInputs, radius: Optional[int] = None) -> BoundReport:
-    """Evaluate every bound for one row; the ratio is org - rec_gf in log2.
-
-    The radius-refined bound is included only when the graph radius is given
-    and C >= 2 * radius.
+    ``radius_bound_log2`` is added only when the graph radius is given and
+    C >= 2 * radius. Needs n >= 4, as the generating-function bound does.
     """
-    org = bound_original(inputs)
-    rec_ind = bound_rec_induction(inputs)
-    rec_gf = bound_rec_genfunc(inputs)
-    mdd_cube = bound_mdd_exponential(inputs.k, analytic_size_bound(inputs.C))
-    rad = None
+    d = {
+        "n": inputs.n,
+        "k": inputs.k,
+        "C": inputs.C,
+        "M": inputs.effective_m,
+        "edge_mode": inputs.edge_mode,
+        "objective": inputs.objective,
+        "org_log2": bound_original(inputs).log2,
+        "rec_ind_log2": bound_rec_induction(inputs).log2,
+        "rec_gf_log2": bound_rec_genfunc(inputs).log2,
+        "mdd_cube_log2": bound_mdd_exponential(
+            inputs.k, analytic_size_bound(inputs.C)
+        ).log2,
+    }
+    d["ratio_log2"] = d["org_log2"] - d["rec_gf_log2"]
+    for name in ("org", "rec_ind", "rec_gf"):
+        d[f"{name}_exp10"] = display_exponent(Log2Value(d[f"{name}_log2"]))
     if radius is not None and inputs.C >= 2 * radius:
         m = radius_size_bound(radius, inputs.C - 2 * radius, inputs.n)
-        rad = bound_mdd_exponential(inputs.k, m)
-    ratio = Log2Value(org.log2 - rec_gf.log2)
-    return BoundReport(inputs, org, rec_ind, rec_gf, mdd_cube, rad, ratio)
+        d["radius_bound_log2"] = bound_mdd_exponential(inputs.k, m).log2
+    return d

@@ -15,7 +15,6 @@ import csv
 import functools
 import json
 import sys
-import warnings
 
 from . import bounds as bounds_mod
 from . import genfunc, mdd, recurrence
@@ -30,6 +29,11 @@ from .cbs import (
 from .model import Cell, parse_map, parse_scen
 
 SCHEMA_VERSION = 1
+
+# keys of the dict bounds.compare returns, as the commands print them
+_BOUND_LOG2_KEYS = ("org_log2", "rec_ind_log2", "rec_gf_log2")
+_TABLE_LOG2_KEYS = (*_BOUND_LOG2_KEYS, "ratio_log2")
+_EXP10_KEYS = ("org_exp10", "rec_ind_exp10", "rec_gf_exp10")
 
 
 class InvalidSolutionError(RuntimeError):
@@ -85,11 +89,13 @@ def cmd_genfunc(args) -> int:
         return 0
     if args.r is None or args.s is None:
         raise ValueError("genfunc needs --r and --s, or --linear N --s S, or --series R S")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        points = genfunc.solve_critical_points(args.r, args.s)
-    for note in caught:
-        print(f"note: {note.message}", file=sys.stderr)
+    points = genfunc.solve_critical_points(args.r, args.s)
+    if len(points) == 2:
+        print(
+            f"note: smooth critical point absent for r={args.r}, s={args.s} "
+            "(needs r > 2s > 0)",
+            file=sys.stderr,
+        )
     for point in points:
         if point.kind == "multiple":
             value = genfunc.contribution_multiple(point, args.r, args.s)
@@ -114,18 +120,15 @@ def _bound_inputs(args) -> bounds_mod.BoundInputs:
 
 
 def cmd_bounds(args) -> int:
-    report = bounds_mod.compare(_bound_inputs(args))
+    d = bounds_mod.compare(_bound_inputs(args))
     if args.json:
-        payload = {"schema": SCHEMA_VERSION}
-        payload.update(report.as_dict())
-        print(json.dumps(payload))
+        print(json.dumps({"schema": SCHEMA_VERSION, **d}))
         return 0
-    d = report.as_dict()
     print(f"n: {d['n']}  k: {d['k']}  C: {d['C']}  M: {d['M']}")
     print(f"edge_mode: {d['edge_mode']}  objective: {d['objective']}")
-    for key in ("org_log2", "rec_ind_log2", "rec_gf_log2", "mdd_cube_log2", "ratio_log2"):
+    for key in (*_BOUND_LOG2_KEYS, "mdd_cube_log2", "ratio_log2"):
         print(f"{key}: {_fmt(d[key])}")
-    for key in ("org_exp10", "rec_ind_exp10", "rec_gf_exp10"):
+    for key in _EXP10_KEYS:
         print(f"{key}: {d[key]}")
     print("note: high-level conflict-tree bounds only; multiply by the")
     print("note: single-agent low-level search cost for a full running time.")
@@ -154,26 +157,13 @@ def cmd_table(args) -> int:
         with open(args.input, encoding="utf-8", newline="") as fh:
             rows = _table_rows(fh)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "name", "n", "k", "C",
-            "org_log2", "rec_ind_log2", "rec_gf_log2", "ratio_log2",
-            "org_exp10", "rec_ind_exp10", "rec_gf_exp10",
-        ]
-    )
+    writer.writerow(["name", "n", "k", "C", *_TABLE_LOG2_KEYS, *_EXP10_KEYS])
     for name, n, k, c in rows:
-        report = bounds_mod.compare(bounds_mod.BoundInputs(n=n, k=k, C=c))
+        d = bounds_mod.compare(bounds_mod.BoundInputs(n=n, k=k, C=c))
         writer.writerow(
-            [
-                name, n, k, c,
-                _fmt(report.org.log2),
-                _fmt(report.rec_ind.log2),
-                _fmt(report.rec_gf.log2),
-                _fmt(report.ratio_org_over_gf.log2),
-                report.org_exp10,
-                report.rec_ind_exp10,
-                report.rec_gf_exp10,
-            ]
+            [name, n, k, c]
+            + [_fmt(d[key]) for key in _TABLE_LOG2_KEYS]
+            + [d[key] for key in _EXP10_KEYS]
         )
     return 0
 
@@ -204,24 +194,12 @@ def cmd_plot(args) -> int:
                 f"min(s, n*s // 2 + 1) is limited to {recurrence._LOG_MAX_TERMS}"
             )
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "n", "s", "org_log2", "rec_ind_log2", "rec_gf_log2", "recurrence_log2",
-        ]
-    )
+    writer.writerow(["n", "s", *_BOUND_LOG2_KEYS, "recurrence_log2"])
     for n in range(args.n_min, args.n_max + 1):
         s = _plot_s(args.mode, n)
-        inputs = bounds_mod.BoundInputs(n=n, k=1, C=s)
-        org = bounds_mod.bound_original(inputs)
-        rec_ind = bounds_mod.bound_rec_induction(inputs)
-        rec_gf = bounds_mod.bound_rec_genfunc(inputs)
-        rec = recurrence.eval_log(n * s, s)
-        writer.writerow(
-            [
-                n, s,
-                _fmt(org.log2), _fmt(rec_ind.log2), _fmt(rec_gf.log2), _fmt(rec.log2),
-            ]
-        )
+        d = bounds_mod.compare(bounds_mod.BoundInputs(n=n, k=1, C=s))
+        rec = recurrence.eval_log(n * s, s).log2
+        writer.writerow([n, s, *[_fmt(d[key]) for key in _BOUND_LOG2_KEYS], _fmt(rec)])
     return 0
 
 
@@ -234,7 +212,7 @@ def cmd_solve(args) -> int:
     violation = validate(instance, paths)
     if violation is not None:
         raise InvalidSolutionError(f"solver produced an invalid solution: {violation}")
-    report = empirical_bound_check(instance, stats)
+    margins = empirical_bound_check(instance, stats)
 
     if args.json:
         payload = {
@@ -249,7 +227,7 @@ def cmd_solve(args) -> int:
             "conflict_steps_scanned": stats.conflict_steps_scanned,
             "paths": [[list(cell) for cell in path] for path in paths],
             "bound_margins_log2": {
-                name: round(margin, 6) for name, margin in report.margins.items()
+                name: round(margin, 6) for name, margin in margins.items()
             },
         }
         print(json.dumps(payload))
@@ -266,7 +244,7 @@ def cmd_solve(args) -> int:
     for i, path in enumerate(paths):
         steps = "->".join(f"({x},{y})" for x, y in path)
         print(f"agent {i}: {steps}")
-    for name, margin in report.margins.items():
+    for name, margin in margins.items():
         print(f"margin[{name}]: {_fmt(margin)}")
     return 0
 

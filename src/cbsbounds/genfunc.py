@@ -22,12 +22,15 @@ For the linear budget profile r = n * s the single-point contribution grows
 like ((n-1)^(n-1) / (n-2)^(n-2))**s and takes over from the golden-ratio
 regime at the crossover ratio n0 ~= 3.618; above it the value is dominated by
 (e*n)**s / sqrt(s). All x^-r / y^-s powers are carried in log2 space.
+
+The smooth point q3 exists only for r > 2s > 0. Elsewhere
+:func:`solve_critical_points` returns q1 and q2 alone, and the caller reads
+the absence from the list; nothing here warns.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -147,7 +150,8 @@ def solve_critical_points(r: int, s: int) -> list[CriticalPoint]:
 
     The two multiple points are direction-independent. The smooth point
     x3 = (r - 2s) / (r - s), y3 = s (r - s) / (r - 2s)^2 lies in the positive
-    quadrant only when r > 2s > 0; otherwise it is omitted with a warning.
+    quadrant only when r > 2s > 0; otherwise the list holds only q1 and q2,
+    and callers tell the absence from its length.
     """
     if r < 0 or s < 0:
         raise ValueError("budgets must be nonnegative")
@@ -163,11 +167,6 @@ def solve_critical_points(r: int, s: int) -> list[CriticalPoint]:
                 f"q3 fails the critical-point system: residual {residual:g}"
             )
         points.append(p3)
-    else:
-        warnings.warn(
-            f"smooth critical point absent for r={r}, s={s} (needs r > 2s > 0)",
-            stacklevel=2,
-        )
     return points
 
 
@@ -264,10 +263,7 @@ def approx_linear(n: int, s: int) -> Log2Value:
         golden = contribution_multiple(q1(), n * s, s)
         return Log2Value(log2_add(0.0, golden.log2))
     r = n * s
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        points = solve_critical_points(r, s)
-    smooth = points[-1]
+    smooth = solve_critical_points(r, s)[-1]
     if smooth.label != "q3":
         raise ArithmeticError(f"smooth point missing at n={n}, s={s}")
     return contribution_single(smooth, r, s)

@@ -268,18 +268,6 @@ def path_cost(path: Path) -> int:
     return len(path) - 1
 
 
-def is_valid_path(grid: GridMap, path: Path) -> bool:
-    """Waypoints are passable and consecutive steps are waits or 4-adjacent."""
-    if not path:
-        return False
-    if not all(grid.is_passable(c) for c in path):
-        return False
-    for (x0, y0), (x1, y1) in zip(path, path[1:]):
-        if abs(x0 - x1) + abs(y0 - y1) > 1:
-            return False
-    return True
-
-
 def _bfs(grid: GridMap, source: Cell) -> list[int]:
     """BFS distances from a passable cell, as a list indexed by
     :meth:`GridMap.index`; -1 marks unreachable, blocked and padding ids."""
@@ -299,16 +287,6 @@ def _bfs(grid: GridMap, source: Cell) -> list[int]:
                     nxt.append(v)
         frontier = nxt
     return dist
-
-
-def bfs_distance(grid: GridMap, a: Cell, b: Cell) -> Optional[int]:
-    """Exact unweighted shortest-path length, or None if unreachable."""
-    if not grid.is_passable(b):
-        raise ValueError(f"target {b} is blocked or out of bounds")
-    if not grid.is_passable(a):
-        raise ValueError(f"source {a} is blocked or out of bounds")
-    d = _bfs(grid, a)[grid.index(b)]
-    return None if d < 0 else d
 
 
 # Words in each of a source block's two (cells + padding, words) bitset

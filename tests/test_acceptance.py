@@ -193,20 +193,20 @@ def test_criterion_08_benchmark_table_reproduction():
     failures = []
     for name, n, k, c, org_p, ind_p, gf_p in TABLE_ROWS:
         rep = compare(BoundInputs(n=n, k=k, C=c))
-        if rep.org_exp10 != org_p:
-            failures.append(f"{name}: org exp {rep.org_exp10} != {org_p}")
-        if abs(rep.rec_ind_exp10 - ind_p) > 1:
-            failures.append(f"{name}: rec_ind exp {rep.rec_ind_exp10} vs {ind_p}")
-        if abs(rep.rec_gf_exp10 - gf_p) > 1:
-            failures.append(f"{name}: rec_gf exp {rep.rec_gf_exp10} vs {gf_p}")
+        if rep["org_exp10"] != org_p:
+            failures.append(f"{name}: org exp {rep['org_exp10']} != {org_p}")
+        if abs(rep["rec_ind_exp10"] - ind_p) > 1:
+            failures.append(f"{name}: rec_ind exp {rep['rec_ind_exp10']} vs {ind_p}")
+        if abs(rep["rec_gf_exp10"] - gf_p) > 1:
+            failures.append(f"{name}: rec_gf exp {rep['rec_gf_exp10']} vs {gf_p}")
         floor = recurrence_log2_floor(k * n * c, k * c)
-        if rep.rec_gf.log2 < floor:
-            failures.append(f"{name}: rec_gf log2 {rep.rec_gf.log2} < floor {floor}")
+        if rep["rec_gf_log2"] < floor:
+            failures.append(f"{name}: rec_gf log2 {rep['rec_gf_log2']} < floor {floor}")
         floor_exp = math.ceil(math.log10(floor))
         if gf_p < floor_exp:
             failures.append(f"{name}: recorded rec_gf exp {gf_p} < floor exp {floor_exp}")
     row1 = compare(BoundInputs(n=9776, k=8, C=120))
-    ratio_ok = row1.ratio_org_over_gf.log2 >= 10**6.9
+    ratio_ok = row1["ratio_log2"] >= 10**6.9
     elapsed = time.time() - t0
     ok = not failures and ratio_ok and elapsed < 1.0
     report(8, ok, f"{len(failures)} exponent or floor failures; ratio ok={ratio_ok}")

@@ -130,38 +130,35 @@ class TestRecurrenceBounds:
 class TestCompare:
     def test_strict_ordering_on_benchmark_rows(self):
         for _, n, k, c in BENCHMARK_ROWS:
-            report = compare(BoundInputs(n=n, k=k, C=c))
-            assert report.org.log2 > report.rec_ind.log2 > report.rec_gf.log2
+            d = compare(BoundInputs(n=n, k=k, C=c))
+            assert d["org_log2"] > d["rec_ind_log2"] > d["rec_gf_log2"]
 
     def test_ratio_is_log_difference(self):
-        report = compare(BoundInputs(n=9776, k=8, C=120))
-        assert report.ratio_org_over_gf.log2 == pytest.approx(
-            report.org.log2 - report.rec_gf.log2
-        )
+        d = compare(BoundInputs(n=9776, k=8, C=120))
+        assert d["ratio_log2"] == pytest.approx(d["org_log2"] - d["rec_gf_log2"])
 
     def test_display_exponent_row7(self):
-        report = compare(BoundInputs(n=2304, k=64, C=70))
-        assert report.org.log2 == 10_321_920.0
-        assert report.org_exp10 == 8
+        d = compare(BoundInputs(n=2304, k=64, C=70))
+        assert d["org_log2"] == 10_321_920.0
+        assert d["org_exp10"] == 8
 
     def test_degenerate_row_renders(self):
-        report = compare(BoundInputs(n=4, k=1, C=1))
-        d = report.as_dict()
+        d = compare(BoundInputs(n=4, k=1, C=1))
         assert d["n"] == 4 and "org_log2" in d
 
     def test_radius_bound_inclusion(self):
         with_radius = compare(BoundInputs(n=3721, k=8, C=120), radius=60)
-        assert with_radius.radius_bound is not None
-        assert with_radius.radius_bound.log2 == 8.0 * 302_560
+        assert "radius_bound_log2" in with_radius
+        assert with_radius["radius_bound_log2"] == 8.0 * 302_560
         too_short = compare(BoundInputs(n=3721, k=8, C=119), radius=60)
-        assert too_short.radius_bound is None
+        assert "radius_bound_log2" not in too_short
 
     def test_soc_mode_identical(self):
         mk = compare(BoundInputs(n=9776, k=8, C=120))
         soc = compare(BoundInputs(n=9776, k=8, C=120, objective="soc"))
-        assert soc.org.log2 == mk.org.log2
-        assert soc.rec_ind.log2 == mk.rec_ind.log2
-        assert soc.rec_gf.log2 == mk.rec_gf.log2
+        assert soc["org_log2"] == mk["org_log2"]
+        assert soc["rec_ind_log2"] == mk["rec_ind_log2"]
+        assert soc["rec_gf_log2"] == mk["rec_gf_log2"]
 
 
 class TestValidation:

@@ -13,11 +13,11 @@ from cbsbounds import (
     Instance,
     SearchLimitError,
     UnsolvableError,
-    bfs_distance,
     build_mdd,
     empirical_bound_check,
     eval_log,
     find_conflicts,
+    log2_of_int,
     low_level_search,
     mdd_size,
     path_cost,
@@ -28,6 +28,7 @@ from conftest import grid_from_rows, open_grid
 from oracles import (
     MOVES,
     brute_force_conflicts,
+    dijkstra_distance,
     dijkstra_field,
     joint_bfs_makespan,
     smallest_cell_descent,
@@ -50,8 +51,8 @@ def check_instance(instance, expected_cost=None):
         assert stats.optimal_cost == oracle, splitting
         assert validate(instance, paths) is None
         assert stats.generated >= stats.expanded >= 1
-        report = empirical_bound_check(instance, stats)
-        assert all(m >= 0 for m in report.margins.values())
+        margins = empirical_bound_check(instance, stats)
+        assert all(m >= 0 for m in margins.values())
     return oracle
 
 
@@ -78,7 +79,7 @@ class TestLowLevel:
     def test_unconstrained_is_shortest(self, open5):
         instance = Instance(open5, (((0, 0), (4, 4)),))
         path = low_level_search(instance, 0, frozenset())
-        assert path_cost(path) == bfs_distance(open5, (0, 0), (4, 4))
+        assert path_cost(path) == dijkstra_distance(open5, (0, 0), (4, 4))
 
     def test_off_path_constraint_keeps_cost(self):
         grid = grid_from_rows(["...", "@@@", "..."])
@@ -263,7 +264,7 @@ class TestSolve:
 
     def test_swap_corridor_fixture(self, pocket_corridor):
         cost = check_instance(pocket_corridor)
-        assert cost > bfs_distance(pocket_corridor.map, (0, 0), (4, 0))
+        assert cost > dijkstra_distance(pocket_corridor.map, (0, 0), (4, 0))
 
     def test_best_first_expansion_costs(self, pocket_corridor, monkeypatch):
         # the CT heap pops (cost, n_conflicts, seq, node) tuples; the A*
@@ -300,6 +301,19 @@ class TestSolve:
         with pytest.raises(UnsolvableError, match="horizon"):
             solve(instance)
 
+    @pytest.mark.parametrize("splitting", ["classic", "disjoint"])
+    def test_swap_beside_a_disconnected_block_is_unsolvable(self, splitting, monkeypatch):
+        # the swap's agents are capped by their own 3 cells and 2 agents, at
+        # P(3, 2) - 1 = 5 as on the bare swap; under a cap over the whole map
+        # (n = 147, k = 26) both splittings pass this 1,000-node limit
+        monkeypatch.setattr(cbs, "_CT_MAX_NODES", 1000)
+        grid = grid_from_rows(["...@" + "." * 12] + ["@@@@" + "." * 12] * 11)
+        block = [(x, y) for y in range(12) for x in range(4, 16)][:24]
+        swap = (((0, 0), (2, 0)), ((2, 0), (0, 0)))
+        instance = Instance(grid, swap + tuple((cell, cell) for cell in block))
+        with pytest.raises(UnsolvableError, match="horizon"):
+            solve(instance, splitting)
+
     def test_root_without_path_is_unsolvable(self, pocket_corridor, monkeypatch):
         monkeypatch.setattr(cbs, "low_level_search", lambda *args: None)
         with pytest.raises(UnsolvableError, match="agent 0 has no path"):
@@ -328,8 +342,8 @@ class TestSolve:
         )
         paths, stats = solve(instance, "disjoint")
         assert validate(instance, paths) is None
-        report = empirical_bound_check(instance, stats)
-        assert report.margins["recurrence"] >= 0
+        margins = empirical_bound_check(instance, stats)
+        assert margins["recurrence"] >= 0
 
 
 def corridor_with_bay(length, bay):
@@ -585,9 +599,11 @@ class TestEmpiricalCheck:
         instance = Instance(open5, (((0, 0), (4, 4)),))
         paths, stats = solve(instance)
         assert stats.generated == 1
-        report = empirical_bound_check(instance, stats)
-        assert report.log2_generated == 0.0
-        assert all(m >= 0 for m in report.margins.values())
+        margins = empirical_bound_check(instance, stats)
+        # log2 of one generated node is 0, so each margin is its budget
+        nodes, _ = mdd_size(build_mdd(open5, (0, 0), (4, 4), stats.optimal_cost))
+        assert margins["mdd_exponential"] == nodes
+        assert all(m >= 0 for m in margins.values())
 
     def test_budgets_from_built_mdds_at_the_optimal_cost(self, pocket_corridor):
         _, stats = solve(pocket_corridor)
@@ -595,11 +611,12 @@ class TestEmpiricalCheck:
             mdd_size(build_mdd(pocket_corridor.map, s, g, stats.optimal_cost))
             for s, g in pocket_corridor.agents
         ]
-        report = empirical_bound_check(pocket_corridor, stats)
-        assert report.mdd_budget_log2 == sum(m for m, _ in sizes)
+        margins = empirical_bound_check(pocket_corridor, stats)
+        log2_generated = log2_of_int(stats.generated)
+        assert margins["mdd_exponential"] == sum(m for m, _ in sizes) - log2_generated
         r = sum(m + e for m, e in sizes)
         s = pocket_corridor.k * stats.optimal_cost
-        assert report.recurrence_log2 == eval_log(r, s).log2
+        assert margins["recurrence"] == eval_log(r, s).log2 - log2_generated
 
     def test_two_agents_on_4x4(self):
         grid = open_grid(4)
@@ -610,5 +627,7 @@ class TestEmpiricalCheck:
         instance = Instance(open5, (((0, 0), (0, 0)), ((4, 4), (4, 4))))
         paths, stats = solve(instance)
         assert stats.optimal_cost == 0
-        report = empirical_bound_check(instance, stats)
-        assert report.generated == 1
+        assert stats.generated == 1
+        margins = empirical_bound_check(instance, stats)
+        # no budget at cost 0 but the two one-node MDDs, and one node used
+        assert margins == {"mdd_exponential": 2.0, "recurrence": 0.0, "rec_genfunc": 0.0}

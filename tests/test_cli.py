@@ -73,8 +73,23 @@ class TestDispatch:
             (["recurrence", "--r", str(10**400), "--s", "2", "--backend", "log"], "r"),
             (["genfunc", "--linear", str(10**400), "--s", "3"], "n"),
             (["genfunc", "--r", str(10**400), "--s", "3"], "r"),
+            (
+                ["bounds", "--n", str(10**200), "--k", str(10**200), "--c", "1"],
+                "n * k * C",
+            ),
+            (
+                ["bounds", "--n", str(10**160), "--k", "1", "--c", "1", "--edges", "general"],
+                "(2n^2 + n) * k * C",
+            ),
         ],
-        ids=["bounds", "recurrence-log", "genfunc-linear", "genfunc-points"],
+        ids=[
+            "bounds",
+            "recurrence-log",
+            "genfunc-linear",
+            "genfunc-points",
+            "bounds-product",
+            "bounds-general-product",
+        ],
     )
     def test_float_overflow_exit_1(self, capsys, argv, name):
         code, _, err = run_cli(capsys, *argv)

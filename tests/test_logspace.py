@@ -66,8 +66,22 @@ def test_log2_add_extreme_spread():
         (lambda: contribution_multiple(q1(), 10**400, 3), "r"),
         (lambda: contribution_single(solve_critical_points(10, 3)[-1], 10, 10**400), "s"),
         (lambda: approx_linear(10**200, 10**200), "n * s"),
+        (lambda: BoundInputs(n=5, k=10**200, C=1, M=10**200), "k * M"),
+        (
+            lambda: BoundInputs(n=1, k=10**100, C=10**70),
+            "k * analytic_size_bound(C)",
+        ),
     ],
-    ids=["bounds-M", "eval_log-r", "points-s", "multiple-r", "single-s", "linear-ns"],
+    ids=[
+        "bounds-M",
+        "eval_log-r",
+        "points-s",
+        "multiple-r",
+        "single-s",
+        "linear-ns",
+        "bounds-kM",
+        "bounds-k-cube",
+    ],
 )
 def test_past_float_range_names_the_argument(call, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} is past float range"):

@@ -6,13 +6,14 @@ import time
 import pytest
 
 from cbsbounds import (
+    Instance,
     analytic_size_bound,
     build_mdd,
-    is_valid_path,
     layer_bound,
     mdd_counts,
     mdd_size,
     radius_size_bound,
+    validate,
     with_edges_bound,
 )
 from cbsbounds import mdd as mdd_module
@@ -97,13 +98,14 @@ class TestBuildMdd:
     def test_sampled_paths_are_valid(self, open5):
         rng = random.Random(13)
         diagram = build_mdd(open5, (0, 0), (3, 3), 8)
+        instance = Instance(open5, (((0, 0), (3, 3)),))
         for _ in range(25):
             cell = next(iter(diagram.layers[0]))
             path = [cell]
             for t in range(diagram.cost):
                 cell = rng.choice(diagram.edges[t][cell])
                 path.append(cell)
-            assert is_valid_path(open5, tuple(path))
+            assert validate(instance, (tuple(path),)) is None
             assert len(path) == diagram.cost + 1
             assert path[0] == (0, 0) and path[-1] == (3, 3)
 

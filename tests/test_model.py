@@ -9,18 +9,22 @@ from cbsbounds import (
     GridMap,
     Instance,
     ParseError,
-    bfs_distance,
-    is_valid_path,
     parse_map,
     parse_scen,
     path_cost,
     radius,
     read_scen_entries,
     serialize_map,
+    validate,
 )
 from cbsbounds import model
 from conftest import grid_from_rows, open_grid, random_grid
 from oracles import MOVES, brute_force_radius, dijkstra_distance, dijkstra_field
+
+
+def bfs(grid, a, b) -> int:
+    """BFS distance from a to b, -1 where b is unreachable."""
+    return model._bfs(grid, a)[grid.index(b)]
 
 
 def map_text(rows: list[str]) -> str:
@@ -147,7 +151,7 @@ class TestParseScen:
         oracle = dijkstra_distance(grid, start, goal)
         text = scen_text([(0, "m", 5, 3, *start, *goal, oracle)])
         entries = read_scen_entries(text)
-        assert entries[0].optimal_length == bfs_distance(grid, start, goal)
+        assert entries[0].optimal_length == bfs(grid, start, goal)
 
 
 def assert_field_matches_dijkstra(grid, source):
@@ -240,10 +244,10 @@ class TestDistances:
         assert assert_field_matches_dijkstra(column, (0, 0)) == [[0], [1], [-1], [-1]]
 
     def test_zero_distance(self, open5):
-        assert bfs_distance(open5, (2, 2), (2, 2)) == 0
+        assert bfs(open5, (2, 2), (2, 2)) == 0
 
     def test_manhattan_on_open_grid(self, open5):
-        assert bfs_distance(open5, (0, 0), (4, 4)) == 8
+        assert bfs(open5, (0, 0), (4, 4)) == 8
 
     def test_corridor_matches_dijkstra(self):
         grid = grid_from_rows(
@@ -259,7 +263,7 @@ class TestDistances:
         rng = random.Random(11)
         for _ in range(40):
             a, b = rng.choice(cells), rng.choice(cells)
-            assert bfs_distance(grid, a, b) == dijkstra_distance(grid, a, b)
+            assert bfs(grid, a, b) == dijkstra_distance(grid, a, b)
 
     def test_symmetry(self):
         grid = grid_from_rows([".@..", "....", "..@."])
@@ -267,24 +271,11 @@ class TestDistances:
         rng = random.Random(3)
         for _ in range(30):
             a, b = rng.choice(cells), rng.choice(cells)
-            assert bfs_distance(grid, a, b) == bfs_distance(grid, b, a)
+            assert bfs(grid, a, b) == bfs(grid, b, a)
 
     def test_unreachable_is_none(self):
         grid = grid_from_rows([".@."])
-        assert bfs_distance(grid, (0, 0), (2, 0)) is None
-
-    @pytest.mark.parametrize(
-        "a, b, match",
-        [
-            ((1, 0), (0, 0), r"source \(1, 0\) is blocked"),
-            ((3, 0), (0, 0), r"source \(3, 0\) is blocked"),
-            ((0, 0), (1, 0), r"target \(1, 0\) is blocked"),
-            ((0, 0), (0, -1), r"target \(0, -1\) is blocked"),
-        ],
-    )
-    def test_blocked_or_out_of_bounds_end_raises(self, a, b, match):
-        with pytest.raises(ValueError, match=match):
-            bfs_distance(grid_from_rows([".@."]), a, b)
+        assert bfs(grid, (0, 0), (2, 0)) == -1
 
     def test_triangle_inequality_sampled(self):
         rng = random.Random(19)
@@ -381,8 +372,23 @@ class TestInstanceAndPaths:
         with pytest.raises(ValueError, match="at least one agent"):
             Instance(open5, ())
 
+    @pytest.mark.parametrize(
+        "start, goal, match",
+        [
+            ((1, 0), (0, 0), r"start \(1, 0\) is blocked"),
+            ((3, 0), (0, 0), r"start \(3, 0\) is blocked or out of bounds"),
+            ((0, 0), (1, 0), r"goal \(1, 0\) is blocked"),
+            ((0, 0), (0, -1), r"goal \(0, -1\) is blocked or out of bounds"),
+        ],
+        ids=["start-blocked", "start-off-map", "goal-blocked", "goal-off-map"],
+    )
+    def test_blocked_or_out_of_bounds_end_raises(self, start, goal, match):
+        with pytest.raises(ValueError, match=match):
+            Instance(grid_from_rows([".@."]), ((start, goal),))
+
     def test_path_helpers(self, open5):
         path = ((0, 0), (1, 0), (1, 0), (1, 1))
         assert path_cost(path) == 3
-        assert is_valid_path(open5, path)
-        assert not is_valid_path(open5, ((0, 0), (2, 0)))
+        assert validate(Instance(open5, (((0, 0), (1, 1)),)), (path,)) is None
+        jump = ((0, 0), (2, 0))
+        assert validate(Instance(open5, (jump,)), (jump,)).kind == "illegal-move"
