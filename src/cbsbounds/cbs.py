@@ -510,7 +510,11 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
                 negative_applied += 1
             else:
                 positive_applied += 1
-    raise UnsolvableError(f"no solution within horizon {max(horizons)}")
+    # the last expanded node's conflict failed: its two agents share a cell,
+    # so a component and a cap
+    raise UnsolvableError(
+        f"no solution within horizon {horizons[node.conflict.agents[0]]}"
+    )
 
 
 def validate(instance: Instance, paths) -> Optional[Violation]:

@@ -7,10 +7,11 @@ through it. Both endpoints' BFS distance lists give each cell its interval
 of layers, and :func:`mdd_counts` sums the exact sizes that feed the
 empirical conflict-tree checks from them in one pass over ``GridMap.steps``.
 :func:`mdd_widths` counts each layer's nodes from the same lists, and
-:func:`build_mdd` fills the layers from them where they are walked, giving
-each cell at most three successor tuples. Both refuse an MDD whose nodes
-plus layers exceed a fixed limit, which they count first. The closed forms bound the
-sizes on open 4-connected grids.
+:func:`build_mdd` builds the layers from them where they are walked, by one
+sweep over the layers that sets each cell's at most three successor tuples
+where they take over. Both refuse an MDD whose nodes plus layers exceed a
+fixed limit, which they count first. The closed forms bound the sizes on
+open 4-connected grids.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .model import Cell, GridMap, _bfs
 # Most nodes plus five per layer build_mdd and mdd_widths accept. Each layer
 # has a frozenset and a dict of its own, about five nodes' worth of memory
 # even when it holds one cell. A process that builds an MDD at the limit
-# peaks at about 80 MiB RSS both on an open 100 x 100 map (corner to corner
-# at C = 246: 490,000 nodes in 247 layers) and on a one-cell map (83,333
-# nodes in as many layers).
+# peaks at 64 MiB RSS on an open 100 x 100 map (corner to corner at C = 246:
+# 490,000 nodes in 247 layers) and at 55 MiB on a one-cell map (83,333 nodes
+# in as many layers), against 17 MiB for one that builds nothing.
 _MDD_MAX_NODES = 5 * 10**5
 
 
@@ -87,46 +88,48 @@ def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
 
     u -> v is an edge at layer t exactly when d_g(v) <= C - 1 - t, since
     d_s(v) <= d_s(u) + 1 <= t + 1 always holds, so a cell has at most three
-    successor tuples: all its MDD neighbours, those with d_g(v) <= d_g(u)
-    (at t = C - 1 - d_g(u)) and those with d_g(v) < d_g(u) (at
-    t = C - d_g(u)). The grid is bipartite, so no neighbour shares u's goal
-    distance and the third tuple is the second without its leading wait.
-    Each layer's dict gets every node's first tuple, then the cells of the
-    two goal-distance shells are overwritten in place. Raises ValueError,
-    before any layer is allocated, on an MDD whose nodes plus layers exceed
-    a fixed limit.
+    successor tuples: all its MDD neighbours (up to t = C - 2 - d_g(u)),
+    those with d_g(v) <= d_g(u) (at t = C - 1 - d_g(u)) and those with
+    d_g(v) < d_g(u) (at t = C - d_g(u)). The grid is bipartite, so no
+    neighbour shares u's goal distance and the third tuple is the second
+    without its leading wait. Each tuple is bucketed at the layer where it
+    takes over, and each cell at the layer after its last; one sweep over
+    the layers applies them to a single cell-to-successors dict and copies
+    it once per layer. Raises ValueError, before any layer is allocated, on
+    an MDD whose nodes plus layers exceed a fixed limit.
     """
     d_start, d_goal = _sized_lists(grid, start, goal, cost)
-    members: list[list[Cell]] = [[] for _ in range(cost + 1)]
     shared: dict[int, Cell] = {}  # layers and edges hold one tuple per cell
     for cell in grid.cells():
         u = grid.index(cell)
-        first, last = d_start[u], cost - d_goal[u]
-        if 0 <= first <= last:
+        if 0 <= d_start[u] <= cost - d_goal[u]:
             shared[u] = cell
-            for t in range(first, last + 1):
-                members[t].append(cell)
-    layers = tuple(frozenset(cells) for cells in members)
-
     steps = grid.steps
-    full: dict[Cell, tuple[Cell, ...]] = {}
-    shells: list[list] = [[] for _ in range(cost)]  # (cell, successors) at t
+    sets: dict[int, list] = {}  # t -> (cell, successors from t on)
+    drops: dict[int, list[Cell]] = {}  # t -> cells in no layer from t on
     for u, cell in shared.items():
-        near = [v for v in steps[u] if v in shared]
-        full[cell] = tuple([shared[v] for v in near])
-        dg = d_goal[u]
-        closer = tuple([shared[v] for v in near if d_goal[v] <= dg])
-        t = cost - 1 - dg
-        if t >= d_start[u]:
-            shells[t].append((cell, closer))
-        if dg > 0:
-            shells[t + 1].append((cell, closer[1:]))  # all but the wait
-    edges = []
-    for here, shell in zip(layers, shells):
-        adj = dict(zip(here, map(full.__getitem__, here)))
-        adj.update(shell)  # keys already present keep their place
-        edges.append(adj)
-    return Mdd(cost, layers, tuple(edges))
+        first, dg = d_start[u], d_goal[u]
+        last = cost - dg
+        # every neighbour of a cell in three or more layers is a node, and
+        # so is every neighbour closer to the goal (proof in README)
+        closer = tuple([shared[v] for v in steps[u] if d_goal[v] <= dg])
+        if first < last - 1:
+            full = tuple(map(shared.__getitem__, steps[u]))
+            sets.setdefault(first, []).append((cell, full))
+        if first <= last - 1:
+            sets.setdefault(last - 1, []).append((cell, closer))
+        sets.setdefault(last, []).append((cell, closer[1:]))  # all but the wait
+        drops.setdefault(last + 1, []).append(cell)
+    adj: dict[Cell, tuple[Cell, ...]] = {}
+    layers, edges = [], []
+    for t in range(cost + 1):
+        for cell in drops.get(t, ()):
+            del adj[cell]
+        adj.update(sets.get(t, ()))
+        layers.append(frozenset(adj))
+        if t < cost:
+            edges.append(dict(adj))
+    return Mdd(cost, tuple(layers), tuple(edges))
 
 
 def mdd_counts(grid: GridMap, start: Cell, goal: Cell, cost: int) -> tuple[int, int]:
@@ -175,8 +178,8 @@ def mdd_widths(grid: GridMap, start: Cell, goal: Cell, cost: int) -> list[int]:
 
 def mdd_size(mdd: Mdd) -> tuple[int, int]:
     """Exact (node count, edge count)."""
-    m = sum(len(layer) for layer in mdd.layers)
-    e = sum(len(succ) for adj in mdd.edges for succ in adj.values())
+    m = sum(map(len, mdd.layers))
+    e = sum(sum(map(len, adj.values())) for adj in mdd.edges)
     return m, e
 
 

@@ -305,13 +305,14 @@ class TestSolve:
     def test_swap_beside_a_disconnected_block_is_unsolvable(self, splitting, monkeypatch):
         # the swap's agents are capped by their own 3 cells and 2 agents, at
         # P(3, 2) - 1 = 5 as on the bare swap; under a cap over the whole map
-        # (n = 147, k = 26) both splittings pass this 1,000-node limit
+        # (n = 147, k = 26) both splittings pass this 1,000-node limit; the
+        # message names the cap of the agents in the conflict that failed
         monkeypatch.setattr(cbs, "_CT_MAX_NODES", 1000)
         grid = grid_from_rows(["...@" + "." * 12] + ["@@@@" + "." * 12] * 11)
         block = [(x, y) for y in range(12) for x in range(4, 16)][:24]
         swap = (((0, 0), (2, 0)), ((2, 0), (0, 0)))
         instance = Instance(grid, swap + tuple((cell, cell) for cell in block))
-        with pytest.raises(UnsolvableError, match="horizon"):
+        with pytest.raises(UnsolvableError, match="horizon 5$"):
             solve(instance, splitting)
 
     def test_root_without_path_is_unsolvable(self, pocket_corridor, monkeypatch):

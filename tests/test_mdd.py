@@ -134,6 +134,22 @@ class TestBuildMdd:
                 # successor order: the wait first, then MOVES order
                 assert list(diagram.edges) == oracle
 
+    def test_every_successor_branch_matches_oracle(self):
+        # a node spans one layer (d_s + d_g = C, last tuple only), two
+        # (= C - 1, the closer tuples) or three or more (all neighbours
+        # first); d_s + d_g has the parity of d on a bipartite grid, so
+        # C = d + 1 gives the two-layer cells and C = d + 2 the others
+        grid, start, goal, d = next(
+            case for case in random_pairs(67, 40) if case[3] >= 4 and case[0].n >= 30
+        )
+        from_start, from_goal = dijkstra_field(grid, start), dijkstra_field(grid, goal)
+        spans = set()
+        for cost in (d + 1, d + 2):
+            spans |= {cost - from_start[c] - from_goal[c] for c in from_start}
+            diagram = build_mdd(grid, start, goal, cost)
+            assert list(diagram.edges) == mdd_edge_oracle(grid, start, goal, cost)
+        assert {0, 1, 2} <= spans
+
 
 def random_pairs(seed, count):
     """Seeded (grid, start, goal, d) draws with the goal reachable at
@@ -257,6 +273,15 @@ class TestNodeLimit:
         monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 21)
         with pytest.raises(ValueError, match="MDD of 7 nodes in 3 layers exceeds the 21-node"):
             build_mdd(grid, (2, 2), (2, 2), 2)
+
+    def test_build_at_the_limit(self):
+        # corner to corner on an open 100 x 100 map at C = 246: 490,000
+        # nodes in 247 layers, 491,235 of the 500,000 the limit allows
+        args = (open_grid(100), (0, 0), (99, 99), 246)
+        diagram = build_mdd(*args)
+        assert mdd_size(diagram) == mdd_counts(*args)
+        assert mdd_size(diagram)[0] == 490_000
+        assert [len(layer) for layer in diagram.layers] == mdd_widths(*args)
 
 
 class TestSizeBounds:
