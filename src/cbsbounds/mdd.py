@@ -3,15 +3,15 @@
 An MDD for (start, goal, C) is a layered graph whose layer t holds exactly the
 cells reachable from the start within t steps and from the goal within C - t
 steps; every start-to-goal path of cost exactly C (waits included) threads
-through it. Both endpoints' BFS distance lists give each cell its interval
-of layers, and :func:`mdd_counts` sums the exact sizes that feed the
-empirical conflict-tree checks from them in one pass over ``GridMap.steps``.
-:func:`mdd_widths` counts each layer's nodes from the same lists, and
-:func:`build_mdd` builds the layers from them where they are walked, by one
-sweep over the layers that sets each cell's at most three successor tuples
-where they take over. Both refuse an MDD whose nodes plus layers exceed a
-fixed limit, which they count first. The closed forms bound the sizes on
-open 4-connected grids.
+through it. One sweep out of the start, pruned by the goal's BFS distance
+list, visits only the MDD's cells, each at its start distance, and counts
+the exact sizes that :func:`mdd_counts` returns and the empirical
+conflict-tree checks use. :func:`mdd_widths` counts each layer's nodes from
+its rings, and :func:`build_mdd` builds the layers from them where they are
+walked, by one sweep over the layers that sets each cell's at most three
+successor tuples where they take over. Both refuse an MDD whose nodes plus
+layers exceed a fixed limit, which the sweep counts first. The closed forms
+bound the sizes on open 4-connected grids.
 """
 
 from __future__ import annotations
@@ -41,46 +41,63 @@ class Mdd:
     edges: tuple[dict[Cell, tuple[Cell, ...]], ...]
 
 
-def _distance_lists(
-    grid: GridMap, start: Cell, goal: Cell, cost: int, fields=None
-) -> tuple[list[int], list[int]]:
-    """The start's and goal's BFS distance lists, indexed by ``GridMap.index``.
+def _sweep(grid: GridMap, start: Cell, goal: Cell, cost: int, d_goal=None):
+    """``(d_goal, rings, nodes, edges)``: the goal's BFS distance list (the
+    caller's ``d_goal`` when given), the MDD's ids by start distance
+    (``rings[d]``), and the counts of :func:`mdd_counts`.
 
-    Cell v is in MDD layer t exactly when d_s(v) <= t <= C - d_g(v); start
-    and goal share a component, so the cells the start cannot reach, with
-    d_s = d_g = -1, are in none. ``fields`` holds the two lists when the
-    caller has them. Raises ValueError on a blocked start or goal, an
-    unreachable goal, or a cost below the shortest distance.
+    A BFS out of the start that enters a neighbour v of u only when
+    b = C - d_s(u) - d_g(v) > 0, which is what the edge u -> v adds. Every
+    shortest path from the start to an MDD cell stays inside the MDD, so it
+    meets each MDD cell at its start distance and no other cell (proof in
+    README); d_s(goal) = d_g(start), so the checks need no start field.
+    Raises ValueError on a blocked start or goal, an unreachable goal, or a
+    cost below the shortest distance.
     """
     for which, cell in (("start", start), ("goal", goal)):
         if not grid.is_passable(cell):
             raise ValueError(f"{which} {cell} is blocked or out of bounds")
-    d_start, d_goal = fields or (_bfs(grid, start), _bfs(grid, goal))
-    shortest = d_start[grid.index(goal)]
+    if d_goal is None:
+        d_goal = _bfs(grid, goal)
+    src = grid.index(start)
+    shortest = d_goal[src]
     if shortest < 0:
         raise ValueError(f"unreachable goal {goal} from {start}")
     if cost < shortest:
         raise ValueError(f"infeasible cost {cost} < shortest distance {shortest}")
-    return d_start, d_goal
+    steps = grid.steps
+    seen, ring, rings = {src}, [src], []
+    nodes = edges = 0
+    top = cost  # C - d_s(u) for u in ring
+    while ring:
+        rings.append(ring)
+        nxt = []
+        for u in ring:
+            nodes += top + 1 - d_goal[u]
+            for v in steps[u]:
+                b = top - d_goal[v]
+                if b > 0:
+                    edges += b
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+        ring = nxt
+        top -= 1
+    return d_goal, rings, nodes, edges
 
 
-def _sized_lists(
-    grid: GridMap, start: Cell, goal: Cell, cost: int
-) -> tuple[list[int], list[int]]:
-    """:func:`_distance_lists`, refused when the MDD's nodes plus five for
-    each of its C + 1 layers exceed ``_MDD_MAX_NODES``, so the limit bounds
-    memory whatever the map's shape. The count is at least 6(C + 1), and a
-    huge cost is refused before anything of its size exists."""
-    d_start, d_goal = _distance_lists(grid, start, goal, cost)
-    nodes = sum(
-        cost + 1 - ds - dg for ds, dg in zip(d_start, d_goal) if 0 <= ds <= cost - dg
-    )
+def _sized_sweep(grid: GridMap, start: Cell, goal: Cell, cost: int):
+    """:func:`_sweep`'s goal field and rings, refused when the MDD's nodes
+    plus five for each of its C + 1 layers exceed ``_MDD_MAX_NODES``, so the
+    limit bounds memory whatever the map's shape. The count is at least
+    6(C + 1), and a huge cost is refused before anything of its size exists."""
+    d_goal, rings, nodes, _ = _sweep(grid, start, goal, cost)
     if nodes + 5 * (cost + 1) > _MDD_MAX_NODES:
         raise ValueError(
             f"MDD of {nodes} nodes in {cost + 1} layers exceeds the "
             f"{_MDD_MAX_NODES}-node limit, which counts each layer as five nodes"
         )
-    return d_start, d_goal
+    return d_goal, rings
 
 
 def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
@@ -98,28 +115,26 @@ def build_mdd(grid: GridMap, start: Cell, goal: Cell, cost: int) -> Mdd:
     it once per layer. Raises ValueError, before any layer is allocated, on
     an MDD whose nodes plus layers exceed a fixed limit.
     """
-    d_start, d_goal = _sized_lists(grid, start, goal, cost)
-    shared: dict[int, Cell] = {}  # layers and edges hold one tuple per cell
-    for cell in grid.cells():
-        u = grid.index(cell)
-        if 0 <= d_start[u] <= cost - d_goal[u]:
-            shared[u] = cell
+    d_goal, rings = _sized_sweep(grid, start, goal, cost)
+    # layers and edges hold one tuple per cell
+    shared = {u: grid.cell(u) for ring in rings for u in ring}
     steps = grid.steps
     sets: dict[int, list] = {}  # t -> (cell, successors from t on)
     drops: dict[int, list[Cell]] = {}  # t -> cells in no layer from t on
-    for u, cell in shared.items():
-        first, dg = d_start[u], d_goal[u]
-        last = cost - dg
-        # every neighbour of a cell in three or more layers is a node, and
-        # so is every neighbour closer to the goal (proof in README)
-        closer = tuple([shared[v] for v in steps[u] if d_goal[v] <= dg])
-        if first < last - 1:
-            full = tuple(map(shared.__getitem__, steps[u]))
-            sets.setdefault(first, []).append((cell, full))
-        if first <= last - 1:
-            sets.setdefault(last - 1, []).append((cell, closer))
-        sets.setdefault(last, []).append((cell, closer[1:]))  # all but the wait
-        drops.setdefault(last + 1, []).append(cell)
+    for first, ring in enumerate(rings):
+        for u in ring:
+            cell, dg = shared[u], d_goal[u]
+            last = cost - dg
+            # every neighbour of a cell in three or more layers is a node, and
+            # so is every neighbour closer to the goal (proof in README)
+            closer = tuple([shared[v] for v in steps[u] if d_goal[v] <= dg])
+            if first < last - 1:
+                full = tuple(map(shared.__getitem__, steps[u]))
+                sets.setdefault(first, []).append((cell, full))
+            if first <= last - 1:
+                sets.setdefault(last - 1, []).append((cell, closer))
+            sets.setdefault(last, []).append((cell, closer[1:]))  # all but the wait
+            drops.setdefault(last + 1, []).append(cell)
     adj: dict[Cell, tuple[Cell, ...]] = {}
     layers, edges = [], []
     for t in range(cost + 1):
@@ -143,23 +158,7 @@ def mdd_counts(grid: GridMap, start: Cell, goal: Cell, cost: int) -> tuple[int, 
     [d_s(u), C - 1 - d_g(v)], an edge in C - d_s(u) - d_g(v) layers. Each
     count adds only where it is positive.
     """
-    return _field_counts(grid, start, goal, cost)
-
-
-def _field_counts(grid, start, goal, cost, fields=None) -> tuple[int, int]:
-    """:func:`mdd_counts`, taking the two BFS distance lists when given."""
-    d_start, d_goal = _distance_lists(grid, start, goal, cost, fields)
-    nodes = edges = 0
-    for ds, dg, near in zip(d_start, d_goal, grid.steps):
-        top = cost - ds
-        if ds < 0 or top < dg:
-            continue
-        nodes += top + 1 - dg
-        for v in near:
-            b = top - d_goal[v]
-            if b > 0:
-                edges += b
-    return nodes, edges
+    return _sweep(grid, start, goal, cost)[2:]
 
 
 def mdd_widths(grid: GridMap, start: Cell, goal: Cell, cost: int) -> list[int]:
@@ -167,12 +166,12 @@ def mdd_widths(grid: GridMap, start: Cell, goal: Cell, cost: int) -> list[int]:
     without building it: cell u adds one to layers d_s(u) .. C - d_g(u),
     summed as a difference list. Same errors and size limit as
     :func:`build_mdd`."""
-    d_start, d_goal = _sized_lists(grid, start, goal, cost)
+    d_goal, rings = _sized_sweep(grid, start, goal, cost)
     diff = [0] * (cost + 2)
-    for ds, dg in zip(d_start, d_goal):
-        if 0 <= ds <= cost - dg:
-            diff[ds] += 1
-            diff[cost + 1 - dg] -= 1
+    for ds, ring in enumerate(rings):
+        diff[ds] += len(ring)
+        for u in ring:
+            diff[cost + 1 - d_goal[u]] -= 1
     return list(accumulate(diff[:-1]))
 
 

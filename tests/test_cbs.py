@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import cbsbounds.cbs as cbs
+import cbsbounds.mdd as mdd
+import cbsbounds.model as model
 from cbsbounds import (
     Constraint,
     GridMap,
@@ -618,6 +620,26 @@ class TestEmpiricalCheck:
         r = sum(m + e for m, e in sizes)
         s = pocket_corridor.k * stats.optimal_cost
         assert margins["recurrence"] == eval_log(r, s).log2 - log2_generated
+
+    def test_runs_no_bfs_with_cached_goal_fields(self, monkeypatch, pocket_corridor):
+        # the counts take the instance's goal fields, and d_s(goal) =
+        # d_g(start) stands in for a field from the start
+        _, stats = solve(pocket_corridor)
+        assert len(pocket_corridor.goal_fields) == pocket_corridor.k
+        real, calls = model._bfs, []
+
+        def counting(grid, source):
+            calls.append(source)
+            return real(grid, source)
+
+        for module in (model, mdd, cbs):
+            if hasattr(module, "_bfs"):
+                monkeypatch.setattr(module, "_bfs", counting)
+        mdd.mdd_counts(pocket_corridor.map, (0, 0), (4, 0), 4)
+        assert calls == [(4, 0)]  # the patch sees the BFS the counts run
+        calls.clear()
+        empirical_bound_check(pocket_corridor, stats)
+        assert calls == []
 
     def test_two_agents_on_4x4(self):
         grid = open_grid(4)

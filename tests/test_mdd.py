@@ -245,6 +245,81 @@ class TestMddCounts:
         assert messages[0] == messages[1] == messages[2]
 
 
+def two_component_cases(seed, count):
+    """Seeded (grid, start, goal, d) on maps that a blocked column splits
+    into two sides, each with a passable cell and 0-40% of its cells
+    blocked; the goal is reachable at distance d, and half the draws have
+    start = goal."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        width, height = rng.randint(3, 10), rng.randint(1, 8)
+        wall, blocked = rng.randint(1, width - 2), rng.choice((0.0, 0.2, 0.4))
+        rows = [
+            "".join(
+                "@" if x == wall or rng.random() < blocked else "."
+                for x in range(width)
+            )
+            for _ in range(height)
+        ]
+        left = "".join(row[:wall] for row in rows)
+        right = "".join(row[wall:] for row in rows)
+        if "." not in left or "." not in right:
+            continue
+        grid = grid_from_rows(rows)
+        start = rng.choice(list(grid.cells()))
+        goal = start if rng.random() < 0.5 else rng.choice(list(grid.cells()))
+        d = dijkstra_field(grid, start).get(goal)
+        if d is not None:
+            out.append((grid, start, goal, d))
+    return out
+
+
+class TestSweep:
+    def test_rings_and_counts_match_oracle(self):
+        cases = two_component_cases(71, 60)
+        assert sum(start == goal for _, start, goal, _ in cases) >= 10
+        for grid, start, goal, d in cases:
+            from_start = dijkstra_field(grid, start)
+            from_goal = dijkstra_field(grid, goal)
+            for cost in (d, d + 1, d + 2, d + 6):
+                _, rings, nodes, edges = mdd_module._sweep(grid, start, goal, cost)
+                expected = {}
+                for cell, ds in from_start.items():
+                    if ds + from_goal[cell] <= cost:
+                        expected.setdefault(ds, set()).add(grid.index(cell))
+                assert {t: set(ring) for t, ring in enumerate(rings)} == expected
+                assert sum(map(len, rings)) == sum(map(len, expected.values()))
+                oracle = mdd_edge_oracle(grid, start, goal, cost)
+                # the oracle's dicts cover layers 0 .. C - 1; layer C is the goal
+                assert nodes == sum(map(len, oracle)) + 1
+                assert edges == sum(len(x) for adj in oracle for x in adj.values())
+
+    def test_errors_and_limit_keep_their_messages(self, monkeypatch):
+        grid = grid_from_rows(["..@..", "..@.."])
+        cases = [
+            ((2, 0), (2, 1), 3, "start (2, 0) is blocked or out of bounds"),
+            ((0, 0), (5, 0), 3, "goal (5, 0) is blocked or out of bounds"),
+            ((0, 0), (4, 1), 9, "unreachable goal (4, 1) from (0, 0)"),
+            ((0, 0), (1, 1), 1, "infeasible cost 1 < shortest distance 2"),
+        ]
+        for start, goal, cost, message in cases:
+            for fn in (mdd_module._sweep, build_mdd, mdd_counts, mdd_widths):
+                with pytest.raises(ValueError) as caught:
+                    fn(grid, start, goal, cost)
+                assert str(caught.value) == message
+        # layers {(0, 0)}, {(0, 0), (1, 0), (0, 1)}, {(0, 0)}: 5 + 3 * 5
+        monkeypatch.setattr(mdd_module, "_MDD_MAX_NODES", 19)
+        for fn in (build_mdd, mdd_widths):
+            with pytest.raises(ValueError) as caught:
+                fn(grid, (0, 0), (0, 0), 2)
+            assert str(caught.value) == (
+                "MDD of 5 nodes in 3 layers exceeds the 19-node limit, "
+                "which counts each layer as five nodes"
+            )
+        assert mdd_counts(grid, (0, 0), (0, 0), 2)[0] == 5
+
+
 class TestNodeLimit:
     def test_huge_cost_is_refused_fast(self):
         grid = open_grid(3)
