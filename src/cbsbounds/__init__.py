@@ -71,7 +71,6 @@ from .model import (
 )
 from .recurrence import (
     eval_exact,
-    eval_exact_table,
     eval_log,
     induction_bound,
 )

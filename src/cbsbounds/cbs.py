@@ -28,8 +28,8 @@ from .recurrence import eval_log
 
 
 # Most conflict-tree nodes solve generates. Classic splitting on README's
-# 8-cell corridor with a bay reaches the limit in 6 s on a shared 2-core
-# host, at 108 MiB peak RSS: about 2 KiB per node over the 17 MiB of a
+# 8-cell corridor with a bay reaches the limit in 5.9 s on a shared 2-core
+# host, at 107 MiB peak RSS: about 2 KiB per node over the 16 MiB of a
 # process that has imported the package, which does not import numpy.
 _CT_MAX_NODES = 5 * 10**4
 

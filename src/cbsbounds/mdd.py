@@ -16,9 +16,7 @@ bound the sizes on open 4-connected grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .model import Cell, GridMap, _bfs
@@ -214,16 +212,16 @@ def analytic_size_bound(cost: int) -> int:
 def radius_size_bound(radius: int, delta: int, n: int) -> int:
     """Radius-refined bound delta*n + (4/3) r (r+1) (r+2) for C = 2r + delta.
 
-    Evaluated in exact rationals and rounded up: a bound must never
-    under-report. At r = 0 the formula counts delta of the C + 1 = delta + 1
-    layers, so the value there is (delta + 1) * n, at most n cells in each
-    layer; a map of radius 0 is one cell, and its MDD has C + 1 nodes.
+    Exact in integers, since 3 divides r (r+1) (r+2). At r = 0 the formula
+    counts delta of the C + 1 = delta + 1 layers, so the value there is
+    (delta + 1) * n, at most n cells in each layer; a map of radius 0 is one
+    cell, and its MDD has C + 1 nodes.
     """
     if radius < 0 or delta < 0 or n < 1:
         raise ValueError("requires radius >= 0, delta >= 0, n >= 1")
     if radius == 0:
         return (delta + 1) * n
-    return math.ceil(Fraction(4, 3) * radius * (radius + 1) * (radius + 2) + delta * n)
+    return 4 * radius * (radius + 1) * (radius + 2) // 3 + delta * n
 
 
 def with_edges_bound(cost: int) -> int:

@@ -28,10 +28,10 @@ Terms with j > n vanish, so each sum stops at b ~ r/2 and an evaluation costs
 O(min(s, r/2)) binomials whatever r is. The exact backend sums arbitrary-
 precision integers; the log2-space backend combines the logarithms of the
 terms with a running log-sum-exp. Each evaluator has one fixed limit set by
-its inputs: the exact value's size, the log backend's term count, the
-table's cells. :func:`eval_exact_table` keeps the O(r s) dynamic program, an
-independent algorithm for the whole table. The induction closed form
-3 * r**s dominates the recurrence.
+its inputs: the exact value's size, or the log backend's term count. The
+recurrence's O(r s) table is not computed here; the tests keep it as an
+independent oracle for the closed form. The induction closed form 3 * r**s
+dominates the recurrence.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Iterator
 from .logspace import LN2, LOG2_3, Log2Value, check_float_range
 
 _EXACT_MAX_BITS = 2**13
-_TABLE_MAX_CELLS = 10**6
 _LOG_MAX_TERMS = 10**6
 _LOG_BLOCK_TERMS = 4096
 
@@ -80,26 +79,6 @@ def eval_exact(r: int, s: int) -> int:
     return sum(
         math.comb(n - b, j + b) for n, j, count in _families(r, s) for b in range(count)
     )
-
-
-def eval_exact_table(r_max: int, s_max: int) -> list[list[int]]:
-    """The full table T[0..r_max][0..s_max] by dynamic programming; refuses
-    tables of more than 10**6 cells."""
-    _check_args(r_max, s_max)
-    cells = (r_max + 1) * (s_max + 1)
-    if cells > _TABLE_MAX_CELLS:
-        raise ValueError(
-            f"exact table of {cells} cells exceeds the {_TABLE_MAX_CELLS}-cell "
-            f"limit; use eval_log"
-        )
-    table = [[1] * (s_max + 1) for _ in range(r_max + 1)]
-    if r_max:
-        table[1][1:] = [3] * s_max
-    for i in range(2, r_max + 1):
-        cur, prev1, prev2 = table[i], table[i - 1], table[i - 2]
-        for j in range(1, s_max + 1):
-            cur[j] = prev1[j] + prev2[j - 1] + 1
-    return table
 
 
 def eval_log(r: int, s: int) -> Log2Value:

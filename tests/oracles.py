@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the public data model only,
 with different algorithms than the package (Dijkstra instead of plain BFS,
-memoized recursion instead of dynamic programming, product-space search
-instead of CBS), so oracle and implementation can only agree by being right.
+memoized recursion and the recurrence's own table instead of its closed form,
+product-space search instead of CBS), so oracle and implementation can only
+agree by being right.
 """
 
 from __future__ import annotations
@@ -138,6 +139,19 @@ def naive_recurrence(r, s):
         return f(ri - 1, si) + f(ri - 2, si - 1) + 1
 
     return f(r, s)
+
+
+def recurrence_table(r_max, s_max):
+    """The table T[0..r_max][0..s_max] of the tight budget recurrence, filled
+    row by row in increasing r from the two rows before it."""
+    table = [[1] * (s_max + 1) for _ in range(r_max + 1)]
+    if r_max:
+        table[1][1:] = [3] * s_max
+    for i in range(2, r_max + 1):
+        cur, prev1, prev2 = table[i], table[i - 1], table[i - 2]
+        for j in range(1, s_max + 1):
+            cur[j] = prev1[j] + prev2[j - 1] + 1
+    return table
 
 
 def recurrence_log2_floor(r, s):

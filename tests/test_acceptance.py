@@ -20,7 +20,6 @@ from cbsbounds import (
     contribution_single,
     empirical_bound_check,
     eval_exact,
-    eval_exact_table,
     eval_H_partials,
     eval_G,
     eval_log,
@@ -40,6 +39,7 @@ from oracles import (
     finite_difference_partials,
     joint_bfs_makespan,
     recurrence_log2_floor,
+    recurrence_table,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -73,7 +73,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_01_series_equals_recurrence():
     t0 = time.time()
     series = expand_series(40, 20)
-    table = eval_exact_table(40, 20)
+    table = recurrence_table(40, 20)
     mismatches = [
         (r, s)
         for r in range(41)
@@ -89,12 +89,11 @@ def test_criterion_01_series_equals_recurrence():
 
 def test_criterion_02_induction_dominance():
     t0 = time.time()
-    table = eval_exact_table(300, 40)
     violations = [
         (r, s)
         for r in range(1, 301)
         for s in range(1, 41)
-        if table[r][s] > 3 * r**s
+        if eval_exact(r, s) > 3 * r**s
     ]
     elapsed = time.time() - t0
     ok = not violations and elapsed < 120
@@ -104,11 +103,10 @@ def test_criterion_02_induction_dominance():
 
 
 def test_criterion_03_closed_form_identities():
-    table = eval_exact_table(10_000, 1)
-    bad_rows = [r for r in range(10_001) if table[r][0] != 1]
+    bad_rows = [r for r in range(10_001) if eval_exact(r, 0) != 1]
     bad_cols = [s for s in range(0, 41) if eval_exact(0, s) != 1]
     bad_ones = [s for s in range(1, 41) if eval_exact(1, s) != 3]
-    bad_linear = [r for r in range(1, 10_001) if table[r][1] != 2 * r + 1]
+    bad_linear = [r for r in range(1, 10_001) if eval_exact(r, 1) != 2 * r + 1]
     ok = not (bad_rows or bad_cols or bad_ones or bad_linear)
     report(3, ok, "T(r,0)=T(0,s)=1, T(1,s)=3, T(r,1)=2r+1 up to r=10^4")
     assert ok
@@ -178,11 +176,10 @@ def test_criterion_06_asymptotic_tightness():
 
 
 def test_criterion_07_linear_profile_sandwich():
-    table = eval_exact_table(32 * 60, 60)
     violations = []
     for n in range(4, 33):
         for s in range(3, 61):
-            if log2_of_int(table[n * s][s]) > s * math.log2(math.e * n) + 1e-9:
+            if log2_of_int(eval_exact(n * s, s)) > s * math.log2(math.e * n) + 1e-9:
                 violations.append((n, s))
     report(7, not violations, "log2 T(ns,s) <= s*log2(e*n) on {4..32}x{3..60}")
     assert not violations

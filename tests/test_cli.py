@@ -448,6 +448,7 @@ for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy imported"
+assert "fractions" not in sys.modules, "fractions imported"
 with open(map_path, encoding="utf-8") as fh:
     model.radius(model.parse_map(fh.read()))
 assert "numpy" in sys.modules, "radius ran without numpy"

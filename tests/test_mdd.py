@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -410,6 +412,21 @@ class TestSizeBounds:
         assert radius_size_bound(7, 0, 1) == 672
         assert radius_size_bound(7, 0, 1) < 2 * 7**3
         assert radius_size_bound(10, 3, 441) == 1760 + 1323
+
+    def test_radius_bound_is_the_rounded_up_rational(self):
+        def ceiling(r, delta, n):
+            return math.ceil(Fraction(4, 3) * r * (r + 1) * (r + 2) + delta * n)
+
+        for r in range(1, 301):
+            for delta in (0, 1, 2, 7):
+                for n in (1, 2, 441, 10**6 + 3):
+                    assert radius_size_bound(r, delta, n) == ceiling(r, delta, n)
+        for delta, n in ((0, 1), (5, 10**40 + 1)):
+            assert radius_size_bound(10**30, delta, n) == ceiling(10**30, delta, n)
+        # r = 0 adds the layer that the formula leaves out
+        for delta in (0, 1, 2, 7):
+            for n in (1, 2, 441):
+                assert radius_size_bound(0, delta, n) == ceiling(0, delta, n) + n
 
     def test_radius_bound_covers_random_maps(self):
         # every start with two goals on connected random maps, C from 2r

@@ -10,13 +10,12 @@ import pytest
 from cbsbounds import (
     LOG2_3,
     eval_exact,
-    eval_exact_table,
     eval_log,
     induction_bound,
     log2_of_int,
 )
 from cbsbounds import recurrence
-from oracles import naive_recurrence, recurrence_log2_floor
+from oracles import naive_recurrence, recurrence_log2_floor, recurrence_table
 
 
 class TestExactBackend:
@@ -42,17 +41,16 @@ class TestExactBackend:
             assert eval_exact(r, s) == naive_recurrence(r, s)
 
     def test_table_matches_pointwise(self):
-        table = eval_exact_table(25, 12)
+        table = recurrence_table(25, 12)
         for r in (0, 1, 7, 25):
             for s in (0, 3, 12):
                 assert table[r][s] == eval_exact(r, s)
 
     def test_monotone_in_both_budgets(self):
-        table = eval_exact_table(40, 12)
         for r in range(40):
             for s in range(12):
-                assert table[r][s] <= table[r + 1][s]
-                assert table[r][s] <= table[r][s + 1]
+                assert eval_exact(r, s) <= eval_exact(r + 1, s)
+                assert eval_exact(r, s) <= eval_exact(r, s + 1)
 
     def test_ceiling_directs_to_log_backend(self):
         with pytest.raises(ValueError, match="eval_log"):
@@ -87,7 +85,7 @@ class TestExactBackend:
             eval_exact(-1, 2)
 
     def test_matches_table_on_every_cell(self):
-        table = eval_exact_table(200, 60)
+        table = recurrence_table(200, 60)
         for r in range(201):
             for s in range(61):
                 assert eval_exact(r, s) == table[r][s], (r, s)
@@ -95,10 +93,9 @@ class TestExactBackend:
     def test_saturates_once_positive_budget_reaches_r(self):
         # each positive constraint spends two negative ones, so T(r, s) stops
         # growing once s reaches about r / 2
-        table = eval_exact_table(12, 40)
         for r in range(13):
             for s in range(r, 41):
-                assert eval_exact(r, s) == table[r][2 * r], (r, s)
+                assert eval_exact(r, s) == eval_exact(r, 2 * r), (r, s)
 
 
 class TestLogBackend:
@@ -114,7 +111,7 @@ class TestLogBackend:
             assert abs(approx - exact) <= 1e-6 * max(1.0, exact)
 
     def test_matches_table_on_every_cell(self):
-        table = eval_exact_table(200, 60)
+        table = recurrence_table(200, 60)
         for r in range(201):
             for s in range(61):
                 exact = log2_of_int(table[r][s])
@@ -125,7 +122,7 @@ class TestLogBackend:
             assert eval_log(r, 1).log2 == pytest.approx(math.log2(2 * r + 1), rel=1e-12)
 
     def test_huge_positive_budget_is_cheap(self):
-        saturated = log2_of_int(eval_exact_table(10, 20)[10][20])
+        saturated = log2_of_int(recurrence_table(10, 20)[10][20])
         start = time.perf_counter()
         value = eval_log(10, 10**9)
         assert time.perf_counter() - start < 1.0
@@ -140,7 +137,7 @@ class TestLogBackend:
         assert eval_log(10, 10**6 + 1).log2 == pytest.approx(math.log2(287), rel=1e-12)
 
     def test_blocked_sum_matches_table(self, monkeypatch):
-        table = eval_exact_table(80, 30)
+        table = recurrence_table(80, 30)
         whole = {(r, s): eval_log(r, s).log2 for r in (10**9, 10**12) for s in (500, 5000)}
         monkeypatch.setattr(recurrence, "_LOG_BLOCK_TERMS", 3)
         for r in range(81):
@@ -181,10 +178,9 @@ class TestInductionBound:
             induction_bound(3, 0)
 
     def test_dominates_small_grid(self):
-        table = eval_exact_table(60, 12)
         for r in range(1, 61):
             for s in range(1, 13):
-                assert table[r][s] <= 3 * r**s
+                assert eval_exact(r, s) <= 3 * r**s
         assert induction_bound(2, 1).log2 == pytest.approx(math.log2(6))
         assert math.log2(eval_exact(2, 1)) <= induction_bound(2, 1).log2
 
