@@ -16,21 +16,21 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 from operator import eq, ne
 from typing import Optional
 
 from .bounds import BoundInputs, bound_rec_genfunc
 from .logspace import log2_of_int
 from .mdd import _sweep
-from .model import Cell, Instance, Path, path_cost
+from .model import Cell, Instance, Path
 from .recurrence import eval_log
 
 
 # Most conflict-tree nodes solve generates. Classic splitting on README's
-# 8-cell corridor with a bay reaches the limit in 5.9 s on a shared 2-core
-# host, at 107 MiB peak RSS: about 2 KiB per node over the 16 MiB of a
-# process that has imported the package, which does not import numpy.
+# 8-cell corridor with a bay reaches the limit in 3.0-3.1 s on a shared
+# 2-core Xeon host, at 64 MiB peak RSS: about 1 KiB per node over the 16 MiB
+# of a process that has imported the package, which does not import numpy.
 _CT_MAX_NODES = 5 * 10**4
 
 
@@ -84,19 +84,30 @@ class Conflict:
 
 @dataclass
 class CtNode:
-    """One constraint-tree node: constraints, paths, cost, pending conflict.
+    """One constraint-tree node of :func:`solve`, on cell ids: constraints,
+    paths, cost, pending conflict.
 
-    ``by_step`` maps each step that has conflicts to them, as :func:`_scan`
-    finds them, so that a child rescans only the steps its replans changed.
+    A constraint is ``(agent, positive, u, v, t)``: ids with u == v for a
+    vertex constraint, or the move u -> v arriving at t for an edge one;
+    ``constraints`` holds one per branch on the way from the root. A
+    conflict is ``(i, j, u, v, t)``: u == v the cell agents i and j share,
+    or the move u -> v of agent i that agent j makes the other way. Paths
+    are tuples of ids. ``columns[t]`` holds every agent's id at step t, each
+    path padded with its final id, and ``by_step`` maps each step that has
+    conflicts to them, as :func:`_scan` finds them, so that a child rebuilds
+    and rescans only the steps its replans changed. Cells appear only at
+    the public edge: :func:`low_level_search`, :func:`find_conflicts` and
+    the paths :func:`solve` returns.
     """
 
-    constraints: frozenset[Constraint]
-    paths: tuple[Path, ...]
+    constraints: tuple[tuple, ...]
+    paths: tuple[tuple[int, ...], ...]
     cost: int
-    conflict: Optional[Conflict]
+    conflict: Optional[tuple]
     n_conflicts: int
     depth: int
-    by_step: dict[int, list[Conflict]]
+    by_step: dict[int, list[tuple]]
+    columns: list[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -140,16 +151,32 @@ def find_conflicts(paths: tuple[Path, ...]) -> list[Conflict]:
 
     Agents rest at their terminal cells. An agent in an occupied cell
     conflicts with the lowest-numbered agent there; swaps follow by pair.
-    This is :func:`_scan` over every step up to the last path's end."""
+    This is :func:`_scan` over every step up to the last path's end, the
+    scan :func:`solve` runs on the id columns of its nodes, with each
+    conflict turned into a :class:`Conflict` of cells."""
     if not all(paths):
         raise ValueError("every path needs at least one cell")
-    by_step = _scan(paths, range(max(len(p) for p in paths)))
-    return [c for step in by_step.values() for c in step]
+    columns = _columns(paths)
+    return [
+        Conflict((i, j), "vertex", u, t)
+        if u == v
+        else Conflict((i, j), "edge", (u, v), t)
+        for step in _scan(columns, range(len(columns))).values()
+        for i, j, u, v, t in step
+    ]
 
 
-def _scan(paths: tuple[Path, ...], steps) -> dict[int, list[Conflict]]:
-    """The conflicts at each step of ``steps`` (ascending, each below the
-    last path's end) that has any.
+def _columns(paths, start: int = 0) -> list[tuple]:
+    """Each step's cells, one per agent, from step ``start`` up to the last
+    path's end; a path that ends earlier rests at its final cell."""
+    end = max(map(len, paths))
+    return list(zip(*[p[start:] + p[-1:] * (end - max(len(p), start)) for p in paths]))
+
+
+def _scan(columns: list[tuple], steps) -> dict[int, list[tuple]]:
+    """The conflicts ``(i, j, u, v, t)`` at each step of ``steps``
+    (ascending, each below ``len(columns)``) that has any, where
+    ``columns[t]`` holds every agent's cell (or id) at step t.
 
     A step's conflicts depend only on the agents' cells at that step and
     the one before. Each step is screened on its set of cells: the vertex
@@ -157,12 +184,10 @@ def _scan(paths: tuple[Path, ...], steps) -> dict[int, list[Conflict]]:
     there or where more cells stay occupied from the step before than one
     plus the number of waiting agents (a swap keeps both its cells
     occupied; see README)."""
-    k = len(paths)
-    end = max(len(p) for p in paths)
-    columns = list(zip(*[p + p[-1:] * (end - len(p)) for p in paths]))
-    found: dict[int, list[Conflict]] = {}
+    k = len(columns[0])
+    found: dict[int, list[tuple]] = {}
     held = -2  # the step whose cells `last` holds
-    last: set[Cell] = set()
+    last: set = set()
     for t in steps:
         before = columns[t - 1] if t else ()
         if t != held + 1:
@@ -172,38 +197,37 @@ def _scan(paths: tuple[Path, ...], steps) -> dict[int, list[Conflict]]:
         crowded = len(cells) < k
         out = []
         if crowded:
-            occupied: dict[Cell, int] = {}
+            occupied: dict = {}
             for i, cell in enumerate(here):
                 first = occupied.setdefault(cell, i)
                 if first != i:
-                    out.append(Conflict((first, i), "vertex", cell, t))
+                    out.append((first, i, cell, cell, t))
         if crowded or len(cells & last) > sum(map(eq, before, here)) + 1:
-            moves: dict[tuple[Cell, Cell], list[int]] = {}
+            moves: dict[tuple, list[int]] = {}
             for j, move in enumerate(zip(before, here)):
                 if move[0] != move[1]:
                     moves.setdefault(move, []).append(j)
             for i, (u, v) in enumerate(zip(before, here)):
                 for j in moves.get((v, u), ()):
                     if j > i:
-                        out.append(Conflict((i, j), "edge", (u, v), t))
+                        out.append((i, j, u, v, t))
         if out:
             found[t] = out
         last, held = cells, t
     return found
 
 
-def _constraint_tables(constraints, agent, grid):
-    """Split a constraint set into the tables the low level consults.
+def _constraint_tables(constraints, agent: int, size: int):
+    """Split a set of ``(agent, positive, u, v, t)`` constraints into the
+    tables the low level consults.
 
-    With S = ``len(grid.steps)``, a state (cell id u, time t) is the int
-    ``t * S + u``. Returns (neg_vertex, neg_edge, required): the forbidden
-    states, the forbidden moves u -> v arriving at t as ``(t * S + v) * S + u``,
-    and required mapping t -> the id the agent must occupy. Positive
-    constraints of other agents turn into negative constraints here. Returns
-    None when the positives are contradictory.
+    With S = ``size`` = ``len(grid.steps)``, a state (cell id u, time t) is
+    the int ``t * S + u``. Returns (neg_vertex, neg_edge, required): the
+    forbidden states, the forbidden moves u -> v arriving at t as
+    ``(t * S + v) * S + u``, and required mapping t -> the id the agent must
+    occupy. Positive constraints of other agents turn into negative
+    constraints here. Returns None when the positives are contradictory.
     """
-    index = grid.index
-    size = len(grid.steps)
     neg_v: set[int] = set()
     neg_e: set[int] = set()
     required: dict[int, int] = {}
@@ -211,46 +235,83 @@ def _constraint_tables(constraints, agent, grid):
     def require(t: int, u: int) -> bool:
         return required.setdefault(t, u) == u
 
-    for c in constraints:
-        u, v = (index(c.loc),) * 2 if c.kind == "vertex" else map(index, c.loc)
-        if c.agent == agent:
-            if c.sign == "negative":
-                if c.kind == "vertex":
-                    neg_v.add(c.t * size + u)
+    for a, positive, u, v, t in constraints:
+        if a == agent:
+            if not positive:
+                if u == v:
+                    neg_v.add(t * size + u)
                 else:
-                    neg_e.add((c.t * size + v) * size + u)
-            else:
-                if c.kind == "vertex":
-                    if not require(c.t, u):
-                        return None
-                else:
-                    if not (require(c.t - 1, u) and require(c.t, v)):
-                        return None
-        elif c.sign == "positive":
+                    neg_e.add((t * size + v) * size + u)
+            elif u == v:
+                if not require(t, u):
+                    return None
+            elif not (require(t - 1, u) and require(t, v)):
+                return None
+        elif positive:
             # someone else is pinned there; this agent must keep clear
-            if c.kind == "vertex":
-                neg_v.add(c.t * size + u)
+            if u == v:
+                neg_v.add(t * size + u)
             else:
-                neg_v.add((c.t - 1) * size + u)
-                neg_v.add(c.t * size + v)
-                neg_e.add((c.t * size + u) * size + v)
+                neg_v.add((t - 1) * size + u)
+                neg_v.add(t * size + v)
+                neg_e.add((t * size + u) * size + v)
     return neg_v, neg_e, required
 
 
-def _descent(grid, dist: list[int], u: int) -> list[Cell]:
-    """The cells from id u to the goal of ``dist``, stepping from each cell
-    to its lowest-id neighbour one closer to the goal."""
-    steps = grid.steps
-    cells = [grid.cell(u)]
+def _descent(steps, dist: list[int], hops: list[int], u: int) -> list[int]:
+    """The ids from u to the goal of ``dist``, stepping from each id to its
+    lowest-id neighbour one closer to the goal. ``hops[u]`` caches that
+    neighbour, filled on u's first visit (-1 before), so repeated descents
+    toward one goal are lookups."""
+    ids = [u]
     while dist[u]:
-        u = min(v for v in steps[u] if dist[v] < dist[u])
-        cells.append(grid.cell(u))
-    return cells
+        v = hops[u]
+        if v < 0:
+            d, v = dist[u], len(dist)
+            for w in steps[u]:
+                if w < v and dist[w] < d:
+                    v = w
+            hops[u] = v
+        u = v
+        ids.append(u)
+    return ids
+
+
+def _cells(grid, ids) -> Path:
+    """The cells of a path of ids. The tuple is built from a list, whose
+    length is known: one grown from an iterator is resized, and once freed
+    it is kept in the interpreter's free list of tuples of its length, which
+    over a 15 s ``ct-search`` run held about 3 MiB more at peak."""
+    return tuple([*map(grid.cell, ids)])
+
+
+def _constraint_ids(c: Constraint, grid) -> tuple:
+    """A :class:`Constraint` as the ``(agent, positive, u, v, t)`` tuple of
+    ids that :func:`solve` keeps."""
+    u, v = (c.loc, c.loc) if c.kind == "vertex" else c.loc
+    return c.agent, c.sign == "positive", grid.index(u), grid.index(v), c.t
 
 
 def low_level_search(instance: Instance, agent: int, constraints) -> Optional[Path]:
     """Minimum-termination-time constrained path for one agent, or None when
     no path meets the constraints.
+
+    This is the public edge of :func:`_plan`, the search :func:`solve`
+    runs on ids: it turns each :class:`Constraint` into ids and the ids of
+    the path it returns back into cells.
+    """
+    grid = instance.map
+    ids = [_constraint_ids(c, grid) for c in constraints]
+    path = _plan(instance, agent, ids, [-1] * len(grid.steps))
+    return None if path is None else _cells(grid, path)
+
+
+def _plan(
+    instance: Instance, agent: int, constraints, hops: list[int]
+) -> Optional[tuple[int, ...]]:
+    """:func:`low_level_search` on ids: the constraints are ``(agent,
+    positive, u, v, t)`` tuples and the path a tuple of ids, or None.
+    ``hops`` is the agent's next-hop list for :func:`_descent`.
 
     Space-time A* over (cell id, t) on the map's ``steps``, with the cached
     goal field d (the exact unconstrained distance) as heuristic. The path
@@ -270,8 +331,10 @@ def low_level_search(instance: Instance, agent: int, constraints) -> Optional[Pa
     descent (proofs in README).
     """
     grid = instance.map
-    start, goal = (grid.index(cell) for cell in instance.agents[agent])
-    tables = _constraint_tables(constraints, agent, grid)
+    start, goal = map(grid.index, instance.agents[agent])
+    steps = grid.steps
+    size = len(steps)
+    tables = _constraint_tables(constraints, agent, size)
     if tables is None:
         return None
     neg_v, neg_e, required = tables
@@ -280,12 +343,10 @@ def low_level_search(instance: Instance, agent: int, constraints) -> Optional[Pa
         return None
     if not (neg_v or neg_e or required):
         # the last constraint time is -1, so the start is past it
-        return tuple(_descent(grid, dist, start))
+        return tuple(_descent(steps, dist, hops, start))
     if required.get(0, start) != start or start in neg_v:
         return None
 
-    steps = grid.steps
-    size = len(steps)
     last = max(
         [s // size for s in neg_v] + [s // size // size for s in neg_e] + list(required)
     )
@@ -313,9 +374,9 @@ def low_level_search(instance: Instance, agent: int, constraints) -> Optional[Pa
             waypoints = []
             state = parent[t * size + u]
             while state >= 0:
-                waypoints.append(grid.cell(state % size))
+                waypoints.append(state % size)
                 state = parent[state]
-            return (*reversed(waypoints), *_descent(grid, dist, u))
+            return (*reversed(waypoints), *_descent(steps, dist, hops, u))
         nt = t + 1
         base = nt * size
         rank = (last - nt) * area
@@ -336,56 +397,43 @@ def low_level_search(instance: Instance, agent: int, constraints) -> Optional[Pa
     return None
 
 
-def _violates(path: Path, agent: int, c: Constraint) -> bool:
-    """Whether a path breaks one constraint (including implied negatives).
-    The agent rests at its terminal cell after the path ends."""
+def _violates(path: tuple[int, ...], agent: int, c: tuple) -> bool:
+    """Whether a path of ids breaks one ``(agent, positive, u, v, t)``
+    constraint (including implied negatives). The agent rests at its
+    terminal id after the path ends."""
+    owner, positive, u, v, t = c
     last = len(path) - 1
-    now = path[min(c.t, last)]
-    if c.kind == "vertex":
-        hit = now == c.loc
+    now = path[min(t, last)]
+    if u == v:
+        hit = now == u
     else:
-        u, v = c.loc
-        before = path[min(c.t - 1, last)]
-        if c.agent == agent:
-            hit = c.t <= last and before == u and now == v
+        before = path[min(t - 1, last)]
+        if owner == agent:
+            hit = t <= last and before == u and now == v
         else:
             hit = before == u or now == v or (before == v and now == u)
-    if c.agent != agent:
-        return c.sign == "positive" and hit
-    return hit if c.sign == "negative" else not hit
+    if owner != agent:
+        return positive and hit
+    return not hit if positive else hit
 
 
-def _moved_steps(old: Path, new: Path) -> list[int]:
-    """The steps at which two paths of one agent, each resting at its final
-    cell, hold the agent in different cells."""
-    end = max(len(old), len(new))
-    old = old + old[-1:] * (end - len(old))
-    new = new + new[-1:] * (end - len(new))
-    return list(compress(count(), map(ne, old, new)))
-
-
-def _branches(conflict: Conflict, splitting: str) -> list[Constraint]:
-    i, j = conflict.agents
-    if conflict.kind == "vertex":
-        loc_i = loc_j = conflict.loc
-    else:
-        u, v = conflict.loc
-        loc_i, loc_j = (u, v), (v, u)
+def _branches(conflict: tuple, splitting: str) -> list[tuple]:
+    """The constraints of a conflict's children: a negative one on each
+    agent (classic), or a positive and a negative one on the first agent
+    (disjoint). Agent j's edge constraint is the reverse move."""
+    i, j, u, v, t = conflict
     if splitting == "classic":
-        return [
-            Constraint(i, conflict.kind, "negative", loc_i, conflict.t),
-            Constraint(j, conflict.kind, "negative", loc_j, conflict.t),
-        ]
-    return [
-        Constraint(i, conflict.kind, "positive", loc_i, conflict.t),
-        Constraint(i, conflict.kind, "negative", loc_i, conflict.t),
-    ]
+        return [(i, False, u, v, t), (j, False, v, u, t)]
+    return [(i, True, u, v, t), (i, False, u, v, t)]
 
 
 def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, ...], SolveStats]:
     """Optimal-makespan CBS. Deterministic: ties break on conflict count then
     generation order; conflicts resolve earliest-time first. Raises
-    SearchLimitError rather than generate more than ``_CT_MAX_NODES`` nodes."""
+    SearchLimitError rather than generate more than ``_CT_MAX_NODES`` nodes.
+
+    The conflict tree works on cell ids (see :class:`CtNode`); the winning
+    node's paths become cells only on return."""
     if splitting not in ("classic", "disjoint"):
         raise ValueError(f"unknown splitting {splitting!r}")
     grid = instance.map
@@ -405,6 +453,8 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
             h = math.perm(len(f) - f.count(-1), len(group)) - 1
             for j in group:
                 horizons[j] = h
+    # each agent's next hops toward its goal, for this solve only
+    hops = [[-1] * len(grid.steps) for _ in range(k)]
 
     calls = scanned = 0
 
@@ -413,30 +463,32 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
         # (proof in README)
         nonlocal calls
         calls += 1
-        path = low_level_search(instance, agent, constraints)
-        return None if path is None or path_cost(path) > horizons[agent] else path
+        path = _plan(instance, agent, constraints, hops[agent])
+        return None if path is None or len(path) - 1 > horizons[agent] else path
 
-    def make_node(constraints, paths, depth, kept, steps) -> CtNode:
+    def make_node(constraints, paths, columns, depth, kept, steps) -> CtNode:
         # kept holds the conflicts of every step below the paths' end that
         # is not in steps
         nonlocal scanned
         scanned += len(steps)
-        by_step = {**kept, **_scan(paths, steps)}
+        by_step = {**kept, **_scan(columns, steps)}
         return CtNode(
             constraints,
             paths,
-            max(path_cost(p) for p in paths),
+            len(columns) - 1,
             by_step[min(by_step)][0] if by_step else None,
             sum(map(len, by_step.values())),
             depth,
             by_step,
+            columns,
         )
 
-    root_paths = tuple(search(i, frozenset()) for i in range(k))
+    root_paths = tuple(search(i, ()) for i in range(k))
     for i, p in enumerate(root_paths):
         if p is None:
             raise UnsolvableError(f"agent {i} has no path within horizon {horizons[i]}")
-    root = make_node(frozenset(), root_paths, 0, {}, range(max(map(len, root_paths))))
+    columns = _columns(root_paths)
+    root = make_node((), root_paths, columns, 0, {}, range(len(columns)))
 
     open_heap = [(root.cost, root.n_conflicts, 0, root)]
     generated, expanded, max_depth = 1, 0, 0
@@ -458,7 +510,8 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
         _, _, _, node = heapq.heappop(open_heap)
         expanded += 1
         if node.conflict is None:
-            return node.paths, stats(node.cost)
+            paths = tuple(_cells(grid, p) for p in node.paths)
+            return paths, stats(node.cost)
         # Every path of a node satisfies every constraint of that node: the
         # low level honours them all, and `replan` holds each agent whose
         # path can break the new one. A negative constraint binds only its
@@ -470,16 +523,17 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
         # agent's path, a positive one by the other agent's), so no branch is
         # already a node constraint.
         for constraint in _branches(node.conflict, splitting):
-            constraints = node.constraints | {constraint}
+            owner, positive = constraint[:2]
+            constraints = (*node.constraints, constraint)
             paths = list(node.paths)
-            if constraint.sign == "negative":
-                replan = [constraint.agent]
-            else:
+            if positive:
                 replan = [
                     a
                     for a in range(k)
-                    if a != constraint.agent and _violates(paths[a], a, constraint)
+                    if a != owner and _violates(paths[a], a, constraint)
                 ]
+            else:
+                replan = [owner]
             for agent in replan:
                 paths[agent] = search(agent, constraints)
                 if paths[agent] is None:
@@ -492,29 +546,42 @@ def solve(instance: Instance, splitting: str = "classic") -> tuple[tuple[Path, .
                     f"at cost {node.cost}",
                     stats(node.cost),
                 )
-            # a step keeps the parent's conflicts unless a replanned agent's
-            # cell changed at it or at the step before, or it lies past the
-            # parent's last step (proof in README)
+            # the child copies the parent's columns and rebuilds those where
+            # a replanned agent's id changed and those past the parent's
+            # end; a step keeps the parent's conflicts unless a replanned
+            # agent's id changed at it or at the step before, or it lies
+            # past the parent's last step (proof in README)
             end = max(map(len, paths))
-            stale = set(range(node.cost + 1, end))
+            columns = node.columns[:end]
+            shared = len(columns)
+            stale = set(range(shared, end))
             for agent in replan:
-                moved = _moved_steps(node.paths[agent], paths[agent])
-                stale.update(moved, [t + 1 for t in moved])
+                old, new = node.paths[agent], paths[agent]
+                span = max(len(old), len(new))
+                old += old[-1:] * (span - len(old))
+                new += new[-1:] * (span - len(new))
+                for t in compress(range(shared), map(ne, old, new)):
+                    column = list(columns[t])
+                    column[agent] = new[t]
+                    columns[t] = tuple(column)
+                    stale.update((t, t + 1))
+            if end > shared:
+                columns += _columns(paths, shared)
             kept = {t: c for t, c in node.by_step.items() if t < end and t not in stale}
             steps = sorted(t for t in stale if t < end)
-            child = make_node(constraints, tuple(paths), node.depth + 1, kept, steps)
+            child = make_node(
+                constraints, tuple(paths), columns, node.depth + 1, kept, steps
+            )
             heapq.heappush(open_heap, (child.cost, child.n_conflicts, generated, child))
             generated += 1
             max_depth = max(max_depth, child.depth)
-            if constraint.sign == "negative":
-                negative_applied += 1
-            else:
+            if positive:
                 positive_applied += 1
+            else:
+                negative_applied += 1
     # the last expanded node's conflict failed: its two agents share a cell,
     # so a component and a cap
-    raise UnsolvableError(
-        f"no solution within horizon {horizons[node.conflict.agents[0]]}"
-    )
+    raise UnsolvableError(f"no solution within horizon {horizons[node.conflict[0]]}")
 
 
 def validate(instance: Instance, paths) -> Optional[Violation]:

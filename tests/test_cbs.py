@@ -121,6 +121,7 @@ class TestLowLevel:
         lifted = 0
         for grid, start, goal in cases:
             instance = Instance(grid, ((start, goal),))
+            hops = [-1] * len(grid.steps)  # shared, as by one agent in solve
             field = dijkstra_field(grid, start)
             cells, shortest = sorted(field), field[goal]
             for _ in range(30):
@@ -150,6 +151,15 @@ class TestLowLevel:
                 horizon = max(last, 0) + grid.n
                 cost = space_time_bfs_cost(grid, start, goal, neg_v, neg_e, horizon)
                 path = low_level_search(instance, 0, constraints)
+                index = grid.index
+                ids = cbs._plan(
+                    instance,
+                    0,
+                    [(0, False, index(cell), index(cell), t) for cell, t in neg_v]
+                    + [(0, False, index(u), index(v), t) for u, v, t in neg_e],
+                    hops,
+                )
+                assert path == (None if ids is None else tuple(map(grid.cell, ids)))
                 if cost is None:
                     assert path is None
                     continue
@@ -198,6 +208,30 @@ class TestLowLevel:
             else:
                 descents += 1
         assert unreachable > 0
+
+    def test_next_hop_descent_is_smallest_cell_descent(self):
+        # one next-hop list serves every descent toward one goal: the first
+        # round fills it as it goes, in a random order of starts, and the
+        # second reads it
+        rng = random.Random(59)
+        for _ in range(20):
+            side = rng.randint(2, 9)
+            mask = [[rng.random() >= 0.25 for _ in range(side)] for _ in range(side)]
+            if not any(map(any, mask)):
+                continue
+            grid = GridMap(side, side, mask)
+            goal = rng.choice(sorted(grid.cells()))
+            dist = Instance(grid, ((goal, goal),)).goal_fields[0]
+            reached = [u for u, d in enumerate(dist) if d >= 0]
+            expected = {
+                u: smallest_cell_descent(grid, grid.cell(u), goal) for u in reached
+            }
+            hops = [-1] * len(grid.steps)
+            for _ in range(2):
+                for u in rng.sample(reached, len(reached)):
+                    path = cbs._descent(grid.steps, dist, hops, u)
+                    assert tuple(map(grid.cell, path)) == expected[u]
+                assert all((hops[u] >= 0) == (dist[u] > 0) for u in reached)
 
     def test_goal_constraint_delays_termination(self):
         grid = open_grid(3)
@@ -318,7 +352,7 @@ class TestSolve:
             solve(instance, splitting)
 
     def test_root_without_path_is_unsolvable(self, pocket_corridor, monkeypatch):
-        monkeypatch.setattr(cbs, "low_level_search", lambda *args: None)
+        monkeypatch.setattr(cbs, "_plan", lambda *args: None)
         with pytest.raises(UnsolvableError, match="agent 0 has no path"):
             solve(pocket_corridor)
 
@@ -424,6 +458,12 @@ def contended_instances(seed, count):
     return out
 
 
+def conflict_ids(c):
+    """A Conflict as the (i, j, u, v, t) tuple that solve keeps."""
+    u, v = (c.loc, c.loc) if c.kind == "vertex" else c.loc
+    return (*c.agents, u, v, c.t)
+
+
 class TestConstraintTree:
     def test_every_node_path_satisfies_every_node_constraint(self, monkeypatch):
         # the invariant that keeps a branch from repeating a node constraint
@@ -433,7 +473,7 @@ class TestConstraintTree:
         def checked_node(constraints, paths, *rest):
             seen["nodes"] += 1
             for c in constraints:
-                seen["positive"] += c.sign == "positive"
+                seen["positive"] += c[1]
                 for agent, path in enumerate(paths):
                     assert not cbs._violates(path, agent, c), (c, agent, path)
             return made(constraints, paths, *rest)
@@ -450,15 +490,24 @@ class TestConstraintTree:
         made = cbs.CtNode
         seen = {"nodes": 0, "steps": 0, "scanned": 0}
 
-        def checked_node(constraints, paths, cost, conflict, n_conflicts, depth, by_step):
+        def checked_node(
+            constraints, paths, cost, conflict, n_conflicts, depth, by_step, columns
+        ):
             seen["nodes"] += 1
             seen["steps"] += cost + 1
-            full = find_conflicts(paths)
+            # the patched columns are the padded paths, step by step
+            end = max(map(len, paths))
+            assert columns == [
+                tuple(p[min(t, len(p) - 1)] for p in paths) for t in range(end)
+            ]
+            full = [conflict_ids(c) for c in find_conflicts(paths)]
             assert conflict == (full[0] if full else None)
             assert n_conflicts == len(full)
             assert [c for t in sorted(by_step) for c in by_step[t]] == full
-            assert all(step and all(c.t == t for c in step) for t, step in by_step.items())
-            return made(constraints, paths, cost, conflict, n_conflicts, depth, by_step)
+            assert all(step and all(c[4] == t for c in step) for t, step in by_step.items())
+            return made(
+                constraints, paths, cost, conflict, n_conflicts, depth, by_step, columns
+            )
 
         monkeypatch.setattr(cbs, "CtNode", checked_node)
         for instance in contended_instances(2, 30):
@@ -482,10 +531,11 @@ class TestConstraintTree:
 
         def checked_node(constraints, paths, *rest):
             branch = now.pop("branch", None)
-            if branch is not None and branch.sign == "positive":
+            if branch is not None and branch[1]:
                 seen["positive"] += 1
-                i = branch.agent
-                again = low_level_search(now["instance"], i, constraints)
+                i, instance = branch[0], now["instance"]
+                hops = [-1] * len(instance.map.steps)
+                again = cbs._plan(instance, i, constraints, hops)
                 assert again == paths[i], (branch, paths[i], again)
             return made_node(constraints, paths, *rest)
 
